@@ -19,15 +19,13 @@ from pathlib import Path
 
 from .corpus_io import (
     CorpusFormat,
-    ParseError,
     TagPolicy,
     UnknownTagAction,
     parse_column_format,
     parse_inline_format,
     write_corpus,
 )
-from .metrics import MetricConfig
-from .model import Corpus
+from .metrics import DEFAULT_CONFIG, MetricConfig
 from .render import (
     render_comparison_csv,
     render_comparison_json,
@@ -38,7 +36,7 @@ from .render import (
     render_scatter_svg,
     render_summary_table,
 )
-from .stats import INDEX_NAMES, aggregate, compare, scatter_data
+from .stats import INDEX_NAMES, CorpusReport, aggregate, compare, scatter_data
 from .synth import Arrangement, GenSpec, generate
 
 
@@ -61,37 +59,36 @@ def _build_policy(args: argparse.Namespace) -> TagPolicy:
 def _parse_weights(raw: str) -> MetricConfig:
     parts = raw.split(",")
     if len(parts) != 2:
-        raise CliError(f"--weights expects 'A,B', got {raw!r}")
+        raise ValueError(f"--weights expects 'A,B', got {raw!r}")
     try:
         mix, switch = float(parts[0]), float(parts[1])
     except ValueError:
-        raise CliError(f"--weights expects two numbers, got {raw!r}") from None
+        raise ValueError(f"--weights expects two numbers, got {raw!r}") from None
     try:
         return MetricConfig(mix_weight=mix, switch_weight=switch)
     except ValueError as exc:
-        raise CliError(f"invalid weights {raw!r}: {exc}") from None
+        raise ValueError(f"invalid weights {raw!r}: {exc}") from None
 
 
-def _read_corpus(path: str, args: argparse.Namespace) -> Corpus:
+def _report(path: str, args: argparse.Namespace, config: MetricConfig = DEFAULT_CONFIG) -> CorpusReport:
+    """Read, parse and aggregate one corpus; every failure names the file."""
     policy = _build_policy(args)
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"{path}: {exc.strerror or exc}") from exc
     parser = parse_inline_format if args.format == "inline" else parse_column_format
     try:
-        return parser(text, policy, name=Path(path).stem)
-    except ParseError as exc:
+        text = Path(path).read_bytes().decode("utf-8-sig")  # bytes, so a CR inside a line reaches the parser
+        return aggregate(parser(text, policy, name=Path(path).stem), config)
+    except OSError as exc:
+        raise CliError(f"{path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # undecodable bytes, a ParseError or an empty corpus
         raise CliError(f"{path}: {exc}") from exc
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    corpus = _read_corpus(args.file, args)
-    config = _parse_weights(args.weights)
     try:
-        report = aggregate(corpus, config)
+        config = _parse_weights(args.weights)
     except ValueError as exc:
         raise CliError(f"{args.file}: {exc}") from exc
+    report = _report(args.file, args, config)
     if args.out == "csv":
         sys.stdout.write(render_per_sentence_csv(report))
     else:
@@ -100,11 +97,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    corpus = _read_corpus(args.file, args)
-    try:
-        report = aggregate(corpus)
-    except ValueError as exc:
-        raise CliError(f"{args.file}: {exc}") from exc
+    report = _report(args.file, args)
     sys.stdout.write(f"corpus: {report.corpus_name or args.file}\n")
     sys.stdout.write(f"sentences: {report.sentence_count}  tokens: {report.token_count}\n")
     sys.stdout.write(f"CMI all: {report.cmi_all:.2f}  CMI mixed: {report.cmi_mixed:.2f}\n\n")
@@ -115,14 +108,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    reports = []
-    for path in (args.file_a, args.file_b):
-        corpus = _read_corpus(path, args)
-        try:
-            reports.append(aggregate(corpus))
-        except ValueError as exc:
-            raise CliError(f"{path}: {exc}") from exc
-    comparison = compare(reports[0], reports[1])
+    comparison = compare(_report(args.file_a, args), _report(args.file_b, args))
     if args.out == "csv":
         sys.stdout.write(render_comparison_csv(comparison))
     else:
@@ -131,16 +117,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
-    corpus = _read_corpus(args.file, args)
+    pairs = scatter_data(_report(args.file, args), args.index)
+    target, render = (args.svg, render_scatter_svg) if args.svg else (args.csv, render_scatter_csv)
     try:
-        report = aggregate(corpus)
-    except ValueError as exc:
-        raise CliError(f"{args.file}: {exc}") from exc
-    pairs = scatter_data(report, args.index)
-    if args.svg:
-        Path(args.svg).write_text(render_scatter_svg(pairs, args.index), encoding="utf-8")
-    else:
-        Path(args.csv).write_text(render_scatter_csv(pairs, args.index), encoding="utf-8")
+        Path(target).write_text(render(pairs, args.index), encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"{target}: {exc.strerror or exc}") from exc
     return 0
 
 

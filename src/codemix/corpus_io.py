@@ -105,16 +105,52 @@ def normalize_tag(raw: str, policy: TagPolicy = DEFAULT_POLICY) -> LanguageTag:
     raise UnknownTagError(f"unknown tag {raw!r}")
 
 
-def _build_corpus(name: str, sentences: list[Sentence], policy: TagPolicy) -> Corpus:
-    seen = {t.tag.code for s in sentences for t in s.tokens if t.tag.is_language}
-    return Corpus(name=name, sentences=tuple(sentences), tag_registry=policy.language_codes | seen)
+class _CorpusBuilder:
+    """The one place parsed text becomes tokens, sentences and a corpus.
+
+    Tags are looked up per distinct raw string, so a corpus holds one
+    LanguageTag per raw tag, not one per token, and the codes it uses are
+    known without walking its tokens.
+    """
+
+    def __init__(self, policy: TagPolicy):
+        self.policy = policy
+        self.tags: dict[str, LanguageTag] = {}
+        self.sentences: list[Sentence] = []
+        self.skipped = 0
+
+    def token(self, surface: str, raw_tag: str, lineno: int, position: int = 0) -> Token:
+        """A token, or a ParseError naming the line and, if given, the token's position in it."""
+        try:
+            if not surface:
+                raise ValueError("empty surface")
+            tag = self.tags.get(raw_tag)
+            if tag is None:
+                tag = self.tags[raw_tag] = normalize_tag(raw_tag, self.policy)
+            return Token(surface=surface, tag=tag)
+        except ValueError as exc:
+            raise ParseError(lineno, f"token {position}: {exc}" if position else str(exc)) from exc
+
+    def sentence(self, tokens: list[Token]) -> None:
+        """Append a sentence, or count an empty one as skipped."""
+        if tokens:
+            self.sentences.append(Sentence(index=len(self.sentences), tokens=tuple(tokens)))
+        else:
+            self.skipped += 1
+
+    def corpus(self, name: str, stream: str) -> Corpus:
+        if self.skipped:
+            logger.warning("%s: skipped %d empty sentence(s)", name or stream, self.skipped)
+        seen = {tag.code for tag in self.tags.values() if tag.is_language}
+        return Corpus(name=name, sentences=tuple(self.sentences), tag_registry=self.policy.language_codes | seen)
 
 
-def _strip_trailing_blanks(lines: list[str]) -> list[str]:
-    end = len(lines)
-    while end > 0 and not lines[end - 1]:
-        end -= 1
-    return lines[:end]
+def _lines(text: str) -> list[str]:
+    """Lines without their CR, trailing blank lines dropped."""
+    lines = [line.rstrip("\r") for line in text.split("\n")]
+    while lines and not lines[-1]:
+        lines.pop()
+    return lines
 
 
 def parse_column_format(text: str, policy: TagPolicy = DEFAULT_POLICY, name: str = "") -> Corpus:
@@ -123,66 +159,37 @@ def parse_column_format(text: str, policy: TagPolicy = DEFAULT_POLICY, name: str
     Empty sentences (consecutive blank lines) are skipped with a logged
     warning; every other irregularity is a ParseError.
     """
-    lines = _strip_trailing_blanks([line.rstrip("\r") for line in text.split("\n")])
-    sentences: list[Sentence] = []
+    builder = _CorpusBuilder(policy)
     pending: list[Token] = []
-    skipped = 0
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(_lines(text), start=1):
         if not line:
-            if pending:
-                sentences.append(Sentence(index=len(sentences), tokens=tuple(pending)))
-                pending = []
-            else:
-                skipped += 1
+            builder.sentence(pending)
+            pending = []
             continue
         fields = line.split("\t")
         if len(fields) != 2:
             raise ParseError(lineno, f"expected SURFACE<TAB>TAG, got {len(fields)} field(s)")
         surface, raw_tag = fields
-        if not surface:
-            raise ParseError(lineno, "empty surface")
-        if not raw_tag:
+        if surface and not raw_tag:
             raise ParseError(lineno, "missing tag field")
-        try:
-            tag = normalize_tag(raw_tag, policy)
-        except UnknownTagError as exc:
-            raise ParseError(lineno, str(exc)) from exc
-        pending.append(Token(surface=surface, tag=tag))
+        pending.append(builder.token(surface, raw_tag, lineno))
     if pending:
-        sentences.append(Sentence(index=len(sentences), tokens=tuple(pending)))
-    if skipped:
-        logger.warning("%s: skipped %d empty sentence(s)", name or "<column stream>", skipped)
-    return _build_corpus(name, sentences, policy)
+        builder.sentence(pending)
+    return builder.corpus(name, "<column stream>")
 
 
 def parse_inline_format(text: str, policy: TagPolicy = DEFAULT_POLICY, name: str = "") -> Corpus:
     """Parse INLINE text (one "surface/TAG ..." sentence per line) into a corpus."""
-    lines = _strip_trailing_blanks([line.rstrip("\r") for line in text.split("\n")])
-    sentences: list[Sentence] = []
-    skipped = 0
-    for lineno, line in enumerate(lines, start=1):
-        if not line:
-            skipped += 1
-            continue
-        tokens: list[Token] = []
-        for position, chunk in enumerate(line.split(" "), start=1):
+    builder = _CorpusBuilder(policy)
+    for lineno, line in enumerate(_lines(text), start=1):
+        tokens: list[Token] = []  # stays empty for a blank line, which the builder counts as skipped
+        for position, chunk in enumerate(line.split(" ") if line else (), start=1):
             cut = chunk.rfind("/")
             if cut < 0:
                 raise ParseError(lineno, f"token {position}: missing '/' separator in {chunk!r}")
-            surface, raw_tag = chunk[:cut], chunk[cut + 1 :]
-            if not surface:
-                raise ParseError(lineno, f"token {position}: empty surface")
-            if not raw_tag:
-                raise ParseError(lineno, f"token {position}: empty tag")
-            try:
-                tag = normalize_tag(raw_tag, policy)
-            except UnknownTagError as exc:
-                raise ParseError(lineno, f"token {position}: {exc}") from exc
-            tokens.append(Token(surface=surface, tag=tag))
-        sentences.append(Sentence(index=len(sentences), tokens=tuple(tokens)))
-    if skipped:
-        logger.warning("%s: skipped %d empty sentence(s)", name or "<inline stream>", skipped)
-    return _build_corpus(name, sentences, policy)
+            tokens.append(builder.token(chunk[:cut], chunk[cut + 1 :], lineno, position))
+        builder.sentence(tokens)
+    return builder.corpus(name, "<inline stream>")
 
 
 def _tag_text(tag: LanguageTag) -> str:

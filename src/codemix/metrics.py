@@ -46,6 +46,9 @@ class MetricConfig:
     dampening: Dampening = Dampening.LINEAR
 
     def __post_init__(self) -> None:
+        # A finite sum also keeps every CF finite: CF <= a + b, as MF, SF <= 1 <= f(LF).
+        if not math.isfinite(self.mix_weight + self.switch_weight):
+            raise ValueError("weights and their sum must be finite")
         if self.mix_weight < 0 or self.switch_weight < 0:
             raise ValueError("weights must be non-negative")
         if self.mix_weight + self.switch_weight <= 0:
@@ -158,17 +161,17 @@ def dampening_divisor(lf: float, total_tokens: int, kind: Dampening) -> float:
     raise ValueError(f"unknown dampening: {kind!r}")
 
 
+_CF_BY_DAMPENING = {Dampening.RAW_LF: "cf1", Dampening.LINEAR: "cf2", Dampening.ARCTAN: "cf3"}
+
+
 def complexity_factor(counts: SentenceCounts, config: MetricConfig = DEFAULT_CONFIG) -> float:
     """(a*MF + b*SF) / f(LF) with the configured dampening.
 
     Monolingual and all-undefined sentences score 0: both factors in the
-    numerator vanish, so the divisor is never evaluated for them.
+    numerator vanish, so the divisor is never evaluated for them. This is
+    the CF1, CF2 or CF3 field of metrics_from_counts.
     """
-    if counts.language_count <= 1:
-        return 0.0
-    numerator = config.mix_weight * mix_factor(counts) + config.switch_weight * switching_factor(counts)
-    divisor = dampening_divisor(language_factor(counts), counts.total_tokens, config.dampening)
-    return numerator / divisor
+    return getattr(metrics_from_counts(counts, config), _CF_BY_DAMPENING[config.dampening])
 
 
 def metrics_from_counts(counts: SentenceCounts, config: MetricConfig = DEFAULT_CONFIG) -> SentenceMetrics:

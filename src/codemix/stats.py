@@ -7,6 +7,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from statistics import fmean
+from typing import Iterable
 
 from .metrics import (
     DEFAULT_CONFIG,
@@ -93,30 +94,20 @@ def _registry_sort_key(code: str) -> tuple[str, int]:
     return code, -1
 
 
-def language_distribution(corpus: Corpus) -> tuple[LanguageDistributionRow, ...]:
-    """Per-language sentence/word counts and percentages, plus one
-    language-independent row (always present, possibly zero)."""
-    if not corpus.sentences:
-        raise ValueError("empty corpus")
+def _distribution(counts: Iterable[SentenceCounts]) -> tuple[LanguageDistributionRow, ...]:
+    """language_distribution folded from per-sentence counts, without a token walk."""
     word_counts: dict[str, int] = {}
     sentence_counts: dict[str, int] = {}
     independent_words = 0
     independent_sentences = 0
     total_tokens = 0
-    for sentence in corpus.sentences:
-        present: set[str] = set()
-        has_independent = False
-        for token in sentence.tokens:
-            total_tokens += 1
-            if token.tag.is_language:
-                word_counts[token.tag.code] = word_counts.get(token.tag.code, 0) + 1
-                present.add(token.tag.code)
-            else:
-                independent_words += 1
-                has_independent = True
-        for code in present:
+    for sentence in counts:
+        total_tokens += sentence.total_tokens
+        for code, words in sentence.per_language.items():
+            word_counts[code] = word_counts.get(code, 0) + words
             sentence_counts[code] = sentence_counts.get(code, 0) + 1
-        if has_independent:
+        if sentence.undefined_tokens:
+            independent_words += sentence.undefined_tokens
             independent_sentences += 1
     rows = [
         LanguageDistributionRow(
@@ -136,6 +127,14 @@ def language_distribution(corpus: Corpus) -> tuple[LanguageDistributionRow, ...]
         )
     )
     return tuple(rows)
+
+
+def language_distribution(corpus: Corpus) -> tuple[LanguageDistributionRow, ...]:
+    """Per-language sentence/word counts and percentages, plus one
+    language-independent row (always present, possibly zero)."""
+    if not corpus.sentences:
+        raise ValueError("empty corpus")
+    return _distribution(count_sentence(sentence) for sentence in corpus.sentences)
 
 
 def _index_value(record: SentenceRecord, index_name: str) -> float:
@@ -169,7 +168,7 @@ def aggregate(corpus: Corpus, config: MetricConfig = DEFAULT_CONFIG) -> CorpusRe
         corpus_name=corpus.name,
         sentence_count=len(records),
         token_count=sum(r.counts.total_tokens for r in records),
-        distribution=language_distribution(corpus),
+        distribution=_distribution(r.counts for r in records),
         summary=tuple(summary),
         cmi_all=fmean(cmi_values),
         cmi_mixed=fmean(mixed) if mixed else 0.0,

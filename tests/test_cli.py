@@ -46,6 +46,36 @@ class TestAnalyze:
         assert code == 1
         assert "nope.tags" in err
 
+    def test_non_utf8_input_names_file(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.tags"
+        bad.write_bytes(b"caf\xe9\tEN\n")
+        code, _, err = run(capsys, "analyze", str(bad))
+        assert code == 1
+        assert err.startswith("error: ") and "latin1.tags" in err and err.count("\n") == 1
+
+    def test_tab_or_cr_inside_surface_is_line_numbered(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        for fmt, text, where in (
+            ("inline", b"ok/EN fine/BN\nsplit\there/EN\n", "line 2: token 1"),
+            ("inline", b"ok/EN fine/BN\nx/EN\ry/BN\n", "line 2: token 1"),
+            ("column", b"ok\tEN\n\nsplit\rhere\tEN\n", "line 3"),
+        ):
+            bad.write_bytes(text)
+            code, _, err = run(capsys, "analyze", str(bad), "--format", fmt)
+            assert code == 1
+            assert err.startswith(f"error: {bad}: {where}: token surface contains") and err.count("\n") == 1
+
+    def test_leading_bom_is_stripped(self, capsys, tmp_path):
+        body = "hi\tEN\nyo\tBN\n"
+        outputs = []
+        for name, text in (("plain", body), ("glued", "\ufeff" + body), ("own_line", "\ufeff\n" + body)):
+            path = tmp_path / f"{name}.tags"
+            path.write_text(text, encoding="utf-8")
+            code, out, _ = run(capsys, "analyze", str(path), "--out", "csv")
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_parse_error_is_line_numbered(self, capsys, tmp_path):
         bad = tmp_path / "bad.tags"
         bad.write_text("ok\tEN\nbroken\n\n", encoding="utf-8")
@@ -62,9 +92,10 @@ class TestAnalyze:
         assert payload["per_sentence"][0]["raw"]["CF2"] == pytest.approx(45.0)
 
     def test_zero_weights_rejected(self, capsys):
-        code, _, err = run(capsys, "analyze", str(FIXTURES / "case6.tags"), "--weights", "0,0")
-        assert code == 1
-        assert "weights" in err
+        for weights in ("0,0", "nan,50", "inf,0", "1.7e308,1.7e308"):
+            code, out, err = run(capsys, "analyze", str(FIXTURES / "case6.tags"), "--weights", weights)
+            assert code == 1 and out == ""
+            assert "weights" in err and "case6.tags" in err
 
     def test_csv_columns_exact(self, capsys):
         code, out, _ = run(capsys, "analyze", str(FIXTURES / "cases_text.tags"), "--out", "csv")
@@ -160,6 +191,12 @@ class TestPlot:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "cf2" in err  # usage message lists the valid indices
+
+    def test_unwritable_target_names_it(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.svg"
+        code, _, err = run(capsys, "plot", str(FIXTURES / "case6.tags"), "--index", "cf2", "--svg", str(target))
+        assert code == 1
+        assert err == f"error: {target}: No such file or directory\n"
 
     def test_requires_exactly_one_target(self, capsys):
         with pytest.raises(SystemExit):

@@ -166,8 +166,9 @@ class TestMetricConfig:
             MetricConfig(mix_weight=-1.0)
 
     def test_rejects_zero_sum(self):
-        with pytest.raises(ValueError):
-            MetricConfig(mix_weight=0.0, switch_weight=0.0)
+        for mix, switch in ((0.0, 0.0), (math.nan, 50.0), (math.inf, 0.0), (1.7e308, 1.7e308)):
+            with pytest.raises(ValueError):
+                MetricConfig(mix_weight=mix, switch_weight=switch)
 
     def test_defaults(self):
         config = MetricConfig()

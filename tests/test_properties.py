@@ -9,9 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codemix import (
+    DEFAULT_POLICY,
+    Corpus,
     CorpusFormat,
     Dampening,
     MetricConfig,
+    ParseError,
+    TagPolicy,
+    UnknownTagAction,
     aggregate,
     analyze_sentence,
     cmi,
@@ -228,3 +233,22 @@ def test_mix_factor_and_cmi_ignore_token_order(codes):
     reversed_counts = count_sentence(make_sentence(codes[::-1]))
     assert mix_factor(base) == mix_factor(reversed_counts)
     assert cmi(base) == cmi(reversed_counts)
+
+
+# Pieces that hit every branch of both parsers: separators, blank and CR
+# lines, tabs and CRs inside surfaces, known, synthetic, alias and unknown
+# tags, a byte-order mark and a vertical tab (which does not end a line).
+fuzz_text = st.lists(
+    st.sampled_from(["a", "/", " ", "\t", "\r", "\n", "EN", "bn", "L2", "NE", "QQ", "\ufeff", "\x0b"]),
+    max_size=40,
+).map("".join)
+
+
+@settings(max_examples=500)
+@given(fuzz_text, st.sampled_from([DEFAULT_POLICY, TagPolicy(unknown_tag_action=UnknownTagAction.TREAT_UNDEFINED)]))
+def test_parsers_return_corpus_or_raise_parse_error(text, policy):
+    for parser in (parse_column_format, parse_inline_format):
+        try:
+            assert isinstance(parser(text, policy), Corpus)
+        except ParseError:
+            pass
