@@ -17,15 +17,8 @@ import logging
 import sys
 from pathlib import Path
 
-from .corpus_io import (
-    CorpusFormat,
-    TagPolicy,
-    UnknownTagAction,
-    parse_column_format,
-    parse_inline_format,
-    write_corpus,
-)
-from .metrics import DEFAULT_CONFIG, MetricConfig
+from .corpus_io import CorpusFormat, TagPolicy, UnknownTagAction, _scan_column, _scan_inline, _Tags, write_corpus
+from .metrics import DEFAULT_CONFIG, MetricConfig, _count_tags
 from .render import (
     render_comparison_csv,
     render_comparison_json,
@@ -36,7 +29,7 @@ from .render import (
     render_scatter_svg,
     render_summary_table,
 )
-from .stats import INDEX_NAMES, CorpusReport, aggregate, compare, scatter_data
+from .stats import INDEX_NAMES, CorpusReport, _fold, compare, scatter_data
 from .synth import Arrangement, GenSpec, generate
 
 
@@ -49,7 +42,7 @@ def _build_policy(args: argparse.Namespace) -> TagPolicy:
     if getattr(args, "language_codes", None):
         codes = [c.strip() for c in args.language_codes.split(",") if c.strip()]
         if not codes:
-            raise CliError("--languages requires at least one code")
+            raise ValueError("--languages requires at least one code")
         kwargs["language_codes"] = frozenset(codes)
     if getattr(args, "unknown", None):
         kwargs["unknown_tag_action"] = UnknownTagAction(args.unknown)
@@ -71,15 +64,20 @@ def _parse_weights(raw: str) -> MetricConfig:
 
 
 def _report(path: str, args: argparse.Namespace, config: MetricConfig = DEFAULT_CONFIG) -> CorpusReport:
-    """Read, parse and aggregate one corpus; every failure names the file."""
-    policy = _build_policy(args)
-    parser = parse_inline_format if args.format == "inline" else parse_column_format
+    """Read, scan, count and fold one corpus (`-` is stdin); every failure names the file.
+
+    The report is aggregate(parse_*_format(text)) without building a token.
+    """
+    scan = _scan_inline if args.format == "inline" else _scan_column
+    name = Path(path).stem
     try:
-        text = Path(path).read_bytes().decode("utf-8-sig")  # bytes, so a CR inside a line reaches the parser
-        return aggregate(parser(text, policy, name=Path(path).stem), config)
+        tags = _Tags(_build_policy(args))
+        data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+        text = data.decode("utf-8-sig")  # from bytes, so a CR inside a line reaches the scanner
+        return _fold(name, (_count_tags(sentence) for _, sentence in scan(text, tags, name)), config)
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror or exc}") from exc
-    except ValueError as exc:  # undecodable bytes, a ParseError or an empty corpus
+    except ValueError as exc:  # a bad policy flag, undecodable bytes, a ParseError or an empty corpus
         raise CliError(f"{path}: {exc}") from exc
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 from .model import Corpus, LanguageTag, Sentence, Token, UndefinedReason
 
@@ -105,52 +106,103 @@ def normalize_tag(raw: str, policy: TagPolicy = DEFAULT_POLICY) -> LanguageTag:
     raise UnknownTagError(f"unknown tag {raw!r}")
 
 
-class _CorpusBuilder:
-    """The one place parsed text becomes tokens, sentences and a corpus.
+class _Tags(dict):
+    """One LanguageTag per distinct raw tag under a policy, normalized on first sight.
 
-    Tags are looked up per distinct raw string, so a corpus holds one
-    LanguageTag per raw tag, not one per token, and the codes it uses are
-    known without walking its tokens.
+    A text therefore holds one tag object per raw tag, not one per token, and
+    the codes it uses are known without walking its tokens.
     """
 
     def __init__(self, policy: TagPolicy):
+        super().__init__()
         self.policy = policy
-        self.tags: dict[str, LanguageTag] = {}
-        self.sentences: list[Sentence] = []
-        self.skipped = 0
 
-    def token(self, surface: str, raw_tag: str, lineno: int, position: int = 0) -> Token:
-        """A token, or a ParseError naming the line and, if given, the token's position in it."""
-        try:
-            if not surface:
-                raise ValueError("empty surface")
-            tag = self.tags.get(raw_tag)
-            if tag is None:
-                tag = self.tags[raw_tag] = normalize_tag(raw_tag, self.policy)
-            return Token(surface=surface, tag=tag)
-        except ValueError as exc:
-            raise ParseError(lineno, f"token {position}: {exc}" if position else str(exc)) from exc
-
-    def sentence(self, tokens: list[Token]) -> None:
-        """Append a sentence, or count an empty one as skipped."""
-        if tokens:
-            self.sentences.append(Sentence(index=len(self.sentences), tokens=tuple(tokens)))
-        else:
-            self.skipped += 1
-
-    def corpus(self, name: str, stream: str) -> Corpus:
-        if self.skipped:
-            logger.warning("%s: skipped %d empty sentence(s)", name or stream, self.skipped)
-        seen = {tag.code for tag in self.tags.values() if tag.is_language}
-        return Corpus(name=name, sentences=tuple(self.sentences), tag_registry=self.policy.language_codes | seen)
+    def __missing__(self, raw: str) -> LanguageTag:
+        tag = self[raw] = normalize_tag(raw, self.policy)
+        return tag
 
 
 def _lines(text: str) -> list[str]:
     """Lines without their CR, trailing blank lines dropped."""
-    lines = [line.rstrip("\r") for line in text.split("\n")]
+    lines = text.split("\n")
+    if "\r" in text:
+        lines = [line.rstrip("\r") for line in lines]
     while lines and not lines[-1]:
         lines.pop()
     return lines
+
+
+_Scan = Iterator[tuple[list[str], list[LanguageTag]]]
+
+
+def _scan_column(text: str, tags: _Tags, name: str) -> _Scan:
+    """The surfaces and tags of each COLUMN sentence; every check of the format happens here."""
+    skipped = 0
+    surfaces: list[str] = []
+    sentence: list[LanguageTag] = []
+    for lineno, line in enumerate(_lines(text), start=1):
+        if not line:
+            if sentence:
+                yield surfaces, sentence
+                surfaces, sentence = [], []
+            else:
+                skipped += 1
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise ParseError(lineno, f"expected SURFACE<TAB>TAG, got {len(fields)} field(s)")
+        surface, raw = fields
+        if not surface or not raw:
+            raise ParseError(lineno, "missing tag field" if surface else "empty surface")
+        try:
+            sentence.append(tags[raw])
+        except ValueError as exc:  # unknown or malformed tag
+            raise ParseError(lineno, str(exc)) from exc
+        if "\r" in surface:
+            raise ParseError(lineno, f"token surface contains tab/newline: {surface!r}")
+        surfaces.append(surface)
+    if sentence:
+        yield surfaces, sentence
+    if skipped:  # logged once the text is exhausted, so never before a ParseError
+        logger.warning("%s: skipped %d empty sentence(s)", name or "<column stream>", skipped)
+
+
+def _scan_inline(text: str, tags: _Tags, name: str) -> _Scan:
+    """The surfaces and tags of each INLINE sentence; every check of the format happens here."""
+    skipped = 0
+    for lineno, line in enumerate(_lines(text), start=1):
+        if not line:
+            skipped += 1
+            continue
+        surfaces: list[str] = []
+        sentence: list[LanguageTag] = []
+        unsafe = "\t" in line or "\r" in line  # only then can a surface hold one
+        for position, chunk in enumerate(line.split(" "), start=1):
+            surface, slash, raw = chunk.rpartition("/")
+            try:
+                if not slash:
+                    raise ValueError(f"missing '/' separator in {chunk!r}")
+                if not surface:
+                    raise ValueError("empty surface")
+                sentence.append(tags[raw])
+                if unsafe and ("\t" in surface or "\r" in surface):
+                    raise ValueError(f"token surface contains tab/newline: {surface!r}")
+            except ValueError as exc:
+                raise ParseError(lineno, f"token {position}: {exc}") from exc
+            surfaces.append(surface)
+        yield surfaces, sentence
+    if skipped:
+        logger.warning("%s: skipped %d empty sentence(s)", name or "<inline stream>", skipped)
+
+
+def _corpus(scan: Callable[[str, _Tags, str], _Scan], text: str, policy: TagPolicy, name: str) -> Corpus:
+    tags = _Tags(policy)
+    sentences = tuple(
+        Sentence(index=index, tokens=tuple(map(Token, surfaces, sentence)))
+        for index, (surfaces, sentence) in enumerate(scan(text, tags, name))
+    )
+    seen = {tag.code for tag in tags.values() if tag.is_language}
+    return Corpus(name=name, sentences=sentences, tag_registry=policy.language_codes | seen)
 
 
 def parse_column_format(text: str, policy: TagPolicy = DEFAULT_POLICY, name: str = "") -> Corpus:
@@ -159,37 +211,12 @@ def parse_column_format(text: str, policy: TagPolicy = DEFAULT_POLICY, name: str
     Empty sentences (consecutive blank lines) are skipped with a logged
     warning; every other irregularity is a ParseError.
     """
-    builder = _CorpusBuilder(policy)
-    pending: list[Token] = []
-    for lineno, line in enumerate(_lines(text), start=1):
-        if not line:
-            builder.sentence(pending)
-            pending = []
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ParseError(lineno, f"expected SURFACE<TAB>TAG, got {len(fields)} field(s)")
-        surface, raw_tag = fields
-        if surface and not raw_tag:
-            raise ParseError(lineno, "missing tag field")
-        pending.append(builder.token(surface, raw_tag, lineno))
-    if pending:
-        builder.sentence(pending)
-    return builder.corpus(name, "<column stream>")
+    return _corpus(_scan_column, text, policy, name)
 
 
 def parse_inline_format(text: str, policy: TagPolicy = DEFAULT_POLICY, name: str = "") -> Corpus:
     """Parse INLINE text (one "surface/TAG ..." sentence per line) into a corpus."""
-    builder = _CorpusBuilder(policy)
-    for lineno, line in enumerate(_lines(text), start=1):
-        tokens: list[Token] = []  # stays empty for a blank line, which the builder counts as skipped
-        for position, chunk in enumerate(line.split(" ") if line else (), start=1):
-            cut = chunk.rfind("/")
-            if cut < 0:
-                raise ParseError(lineno, f"token {position}: missing '/' separator in {chunk!r}")
-            tokens.append(builder.token(chunk[:cut], chunk[cut + 1 :], lineno, position))
-        builder.sentence(tokens)
-    return builder.corpus(name, "<inline stream>")
+    return _corpus(_scan_inline, text, policy, name)
 
 
 def _tag_text(tag: LanguageTag) -> str:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
-from .model import Sentence
+from .model import LanguageTag, Sentence
 
 
 class Dampening(enum.Enum):
@@ -89,20 +89,25 @@ class SentenceMetrics:
 
 def count_sentence(sentence: Sentence) -> SentenceCounts:
     """Tally tokens, per-language counts and switch points for one sentence."""
+    return _count_tags([token.tag for token in sentence.tokens])
+
+
+def _count_tags(tags: list[LanguageTag]) -> SentenceCounts:
+    """The counting summary of one sentence's tags, in token order."""
     per_language: dict[str, int] = {}
     undefined = 0
     switches = 0
     previous_code: str | None = None
-    for token in sentence.tokens:
-        tag = token.tag
-        if tag.is_undefined:
+    for tag in tags:
+        code = tag.code
+        if code is None:
             undefined += 1
             continue
-        per_language[tag.code] = per_language.get(tag.code, 0) + 1
-        if previous_code is not None and tag.code != previous_code:
+        per_language[code] = per_language.get(code, 0) + 1
+        if code != previous_code and previous_code is not None:
             switches += 1
-        previous_code = tag.code
-    total = len(sentence.tokens)
+        previous_code = code
+    total = len(tags)
     return SentenceCounts(
         total_tokens=total,
         undefined_tokens=undefined,

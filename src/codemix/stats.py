@@ -86,12 +86,13 @@ class CorpusComparison:
     rows: tuple[IndexComparison, ...]
 
 
-def _registry_sort_key(code: str) -> tuple[str, int]:
-    # Trailing digits sort numerically so the synthetic family reads L1, L2, .. L10.
+def _registry_sort_key(code: str) -> tuple[str, int, str]:
+    # Trailing digits sort numerically so the synthetic family reads L1, L2, .. L10;
+    # the code itself breaks ties such as L01 and L1, so input order never shows.
     match = re.fullmatch(r"(.*?)(\d+)", code)
     if match:
-        return match.group(1), int(match.group(2))
-    return code, -1
+        return match.group(1), int(match.group(2)), code
+    return code, -1, code
 
 
 def _distribution(counts: Iterable[SentenceCounts]) -> tuple[LanguageDistributionRow, ...]:
@@ -151,21 +152,25 @@ def aggregate(corpus: Corpus, config: MetricConfig = DEFAULT_CONFIG) -> CorpusRe
     The result is independent of evaluation order; only the per_sentence
     listing reflects the corpus ordering.
     """
-    if not corpus.sentences:
+    return _fold(corpus.name, map(count_sentence, corpus.sentences), config)
+
+
+def _fold(name: str, counts: Iterable[SentenceCounts], config: MetricConfig) -> CorpusReport:
+    """The corpus report of a name and its sentences' counts, in corpus order."""
+    records = tuple(
+        SentenceRecord(index=index, counts=sentence, metrics=metrics_from_counts(sentence, config))
+        for index, sentence in enumerate(counts)
+    )
+    if not records:
         raise ValueError("empty corpus")
-    records = []
-    for sentence in corpus.sentences:
-        counts = count_sentence(sentence)
-        records.append(SentenceRecord(index=sentence.index, counts=counts, metrics=metrics_from_counts(counts, config)))
-    records = tuple(records)
     summary = []
-    for name in SUMMARY_INDICES:
-        values = [_index_value(r, name) for r in records]
-        summary.append(IndexSummaryRow(index_name=name, min=min(values), max=max(values), mean=fmean(values)))
+    for index_name in SUMMARY_INDICES:
+        values = [_index_value(r, index_name) for r in records]
+        summary.append(IndexSummaryRow(index_name=index_name, min=min(values), max=max(values), mean=fmean(values)))
     cmi_values = [r.metrics.cmi for r in records]
     mixed = [v for v in cmi_values if v > 0]
     return CorpusReport(
-        corpus_name=corpus.name,
+        corpus_name=name,
         sentence_count=len(records),
         token_count=sum(r.counts.total_tokens for r in records),
         distribution=_distribution(r.counts for r in records),

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import io
 import json
+import sys
 
 import pytest
 
 from codemix import parse_column_format
 from codemix.cli import main
 from conftest import FIXTURES
+
+GOLDEN_CASE6 = (FIXTURES.parent / "tests" / "golden" / "case6.analyze.json").read_text(encoding="utf-8")
 
 
 def run(capsys, *argv):
@@ -126,6 +130,19 @@ class TestAnalyze:
         src.write_text("hola\tES\nworld\tEN\n\n", encoding="utf-8")
         code, _, _ = run(capsys, "analyze", str(src), "--languages", "ES,EN")
         assert code == 0
+        for codes, reason in (
+            ("un", "language codes and undefined aliases overlap: ['UN']"),
+            (",", "--languages requires at least one code"),
+        ):
+            assert run(capsys, "stats", str(src), "--languages", codes) == (1, "", f"error: {src}: {reason}\n")
+
+    def test_dash_reads_stdin(self, capsys, monkeypatch):
+        for data, expected_out, expected_err in (
+            ((FIXTURES / "case6.tags").read_bytes(), GOLDEN_CASE6.replace('"corpus": "case6"', '"corpus": "-"'), ""),
+            (b"\xef\xbb\xbfbroken\n", "", "error: -: line 1: expected SURFACE<TAB>TAG, got 1 field(s)\n"),
+        ):
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+            assert run(capsys, "analyze", "-") == (1 if expected_err else 0, expected_out, expected_err)
 
 
 class TestDeterminism:

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from codemix import (
+    DEFAULT_CONFIG,
     DEFAULT_POLICY,
     Corpus,
     CorpusFormat,
@@ -30,6 +32,8 @@ from codemix import (
     switching_factor,
     write_corpus,
 )
+from codemix.cli import CliError, _report
+from codemix.render import render_per_sentence_csv, render_report_json
 from conftest import make_corpus, make_sentence
 from naive_oracle import naive_metrics
 
@@ -252,3 +256,29 @@ def test_parsers_return_corpus_or_raise_parse_error(text, policy):
             assert isinstance(parser(text, policy), Corpus)
         except ParseError:
             pass
+
+
+@settings(max_examples=1000, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fuzz_text, st.sampled_from([None, "undefined"]))
+def test_cli_report_matches_library_report(tmp_path_factory, caplog, text, unknown):
+    path = tmp_path_factory.getbasetemp() / "fuzz.tags"
+    path.write_bytes(text.encode("utf-8"))
+    policy = TagPolicy(unknown_tag_action=UnknownTagAction(unknown or "error"))
+    decoded = text.encode("utf-8").decode("utf-8-sig")  # as the CLI reads a file
+
+    def outcome(report_of):
+        caplog.clear()
+        try:
+            report = report_of()
+        except CliError as exc:
+            assert str(exc).startswith(f"{path}: ")
+            return type(exc.__cause__), str(exc).removeprefix(f"{path}: "), caplog.messages
+        except ValueError as exc:
+            return type(exc), str(exc), caplog.messages
+        rendered = render_report_json(report, DEFAULT_CONFIG, per_sentence=True), render_per_sentence_csv(report)
+        return report, rendered, caplog.messages
+
+    for fmt, parser in (("column", parse_column_format), ("inline", parse_inline_format)):
+        args = argparse.Namespace(format=fmt, language_codes=None, unknown=unknown)
+        cli_outcome = outcome(lambda: _report(str(path), args))
+        assert cli_outcome == outcome(lambda: aggregate(parser(decoded, policy, name="fuzz")))

@@ -84,13 +84,14 @@ class TestAggregate:
             assert row.min <= row.mean <= row.max
 
     def test_permutation_invariance_of_summaries(self):
-        lists = [["EN", "BN"] * 3, ["HI"] * 4, ["EN", None, "TA"]]
+        lists = [["EN", "BN"] * 3, ["HI"] * 4, ["EN", None, "TA"], ["L1"], ["L01", "L1"]]
         straight = aggregate(make_corpus(lists))
         shuffled = aggregate(make_corpus(lists[::-1]))
         assert straight.cmi_all == shuffled.cmi_all
         assert straight.cmi_mixed == shuffled.cmi_mixed
         for row_a, row_b in zip(straight.summary, shuffled.summary):
             assert row_a == row_b
+        assert straight.distribution == shuffled.distribution  # L01 and L1 share a numeric key
 
     def test_weights_flow_through(self):
         corpus = make_corpus([["L1", "L2"] * 5])
