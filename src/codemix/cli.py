@@ -17,7 +17,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .corpus_io import CorpusFormat, TagPolicy, UnknownTagAction, _scan_column, _scan_inline, _Tags, write_corpus
+from .corpus_io import TagPolicy, UnknownTagAction, _scan_column, _scan_inline, _Tags
 from .metrics import DEFAULT_CONFIG, MetricConfig, _count_tags
 from .render import (
     render_comparison_csv,
@@ -30,7 +30,7 @@ from .render import (
     render_summary_table,
 )
 from .stats import INDEX_NAMES, CorpusReport, _fold, compare, scatter_data
-from .synth import Arrangement, GenSpec, generate
+from .synth import Arrangement, GenSpec, _column_text
 
 
 class CliError(Exception):
@@ -146,7 +146,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    sys.stdout.write(write_corpus(generate(spec), CorpusFormat.COLUMN))
+    sys.stdout.write(_column_text(spec))
     return 0
 
 
@@ -215,10 +215,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -80,7 +80,7 @@ class Token:
     def __post_init__(self) -> None:
         if not self.surface:
             raise ValueError("token surface must be non-empty")
-        if any(c in self.surface for c in "\t\n\r"):
+        if "\t" in self.surface or "\n" in self.surface or "\r" in self.surface:
             raise ValueError(f"token surface contains tab/newline: {self.surface!r}")
 
 

@@ -86,13 +86,16 @@ class CorpusComparison:
     rows: tuple[IndexComparison, ...]
 
 
-def _registry_sort_key(code: str) -> tuple[str, int, str]:
+def _registry_sort_key(code: str) -> tuple[str, int, str, str]:
     # Trailing digits sort numerically so the synthetic family reads L1, L2, .. L10;
     # the code itself breaks ties such as L01 and L1, so input order never shows.
+    # A number is compared as (digit count, digits) without leading zeros, so no
+    # suffix is too long to sort; any decimal digit counts, as it does for int().
     match = re.fullmatch(r"(.*?)(\d+)", code)
     if match:
-        return match.group(1), int(match.group(2)), code
-    return code, -1, code
+        digits = "".join(str(int(c)) for c in match.group(2)).lstrip("0")
+        return match.group(1), len(digits), digits, code
+    return code, -1, "", code
 
 
 def _distribution(counts: Iterable[SentenceCounts]) -> tuple[LanguageDistributionRow, ...]:
@@ -138,14 +141,6 @@ def language_distribution(corpus: Corpus) -> tuple[LanguageDistributionRow, ...]
     return _distribution(count_sentence(sentence) for sentence in corpus.sentences)
 
 
-def _index_value(record: SentenceRecord, index_name: str) -> float:
-    if index_name == WORDS_PER_SENTENCE:
-        return float(record.counts.total_tokens)
-    if index_name in INDEX_NAMES:
-        return getattr(record.metrics, index_name)
-    raise ValueError(f"unknown index {index_name!r}; expected one of {', '.join(SUMMARY_INDICES)}")
-
-
 def aggregate(corpus: Corpus, config: MetricConfig = DEFAULT_CONFIG) -> CorpusReport:
     """Compute per-sentence metrics and fold them into a corpus report.
 
@@ -163,19 +158,16 @@ def _fold(name: str, counts: Iterable[SentenceCounts], config: MetricConfig) -> 
     )
     if not records:
         raise ValueError("empty corpus")
-    summary = []
-    for index_name in SUMMARY_INDICES:
-        values = [_index_value(r, index_name) for r in records]
-        summary.append(IndexSummaryRow(index_name=index_name, min=min(values), max=max(values), mean=fmean(values)))
-    cmi_values = [r.metrics.cmi for r in records]
-    mixed = [v for v in cmi_values if v > 0]
+    columns = {index_name: [getattr(r.metrics, index_name) for r in records] for index_name in INDEX_NAMES}
+    columns[WORDS_PER_SENTENCE] = [float(r.counts.total_tokens) for r in records]
+    mixed = [v for v in columns["cmi"] if v > 0]
     return CorpusReport(
         corpus_name=name,
         sentence_count=len(records),
         token_count=sum(r.counts.total_tokens for r in records),
         distribution=_distribution(r.counts for r in records),
-        summary=tuple(summary),
-        cmi_all=fmean(cmi_values),
+        summary=tuple(IndexSummaryRow(i, min(values), max(values), fmean(values)) for i, values in columns.items()),
+        cmi_all=fmean(columns["cmi"]),
         cmi_mixed=fmean(mixed) if mixed else 0.0,
         per_sentence=records,
     )

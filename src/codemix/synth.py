@@ -11,6 +11,9 @@ Undefined (UN) tokens are inserted at evenly spaced interior positions to
 meet the requested ratio: u = floor(ratio * W) with positions
 floor((i+1) * W / (u+1)).
 
+generate() is parse_column_format of the COLUMN text `codemix generate`
+prints, named "synthetic", with registry L1..LN.
+
 Randomness comes from xoshiro256** seeded with splitmix64, so the exact
 output stream is reproducible from the seed alone, independent of the host
 RNG. Uniform draws below a bound use rejection sampling (no modulo bias).
@@ -23,6 +26,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from .corpus_io import TagPolicy, parse_column_format
 from .model import Corpus, LanguageTag, Sentence, Token
 
 _MASK64 = (1 << 64) - 1
@@ -125,30 +129,27 @@ def _language_pattern(tagged: int, languages: int, arrangement: Arrangement, rng
     return [rng.below(languages) for _ in range(tagged)]
 
 
-def generate(spec: GenSpec) -> Corpus:
-    """Build the corpus a spec describes; deterministic for a fixed seed."""
+def _column_text(spec: GenSpec) -> str:
+    """The COLUMN text of the sentences a spec describes, drawn in one pass."""
     rng = Xoshiro256StarStar(spec.seed)
     lo, hi = spec.word_range
     codes = [f"L{i + 1}" for i in range(spec.language_count)]
-    tags = [LanguageTag.language(c) for c in codes]
-    undefined = LanguageTag.undefined()
-    sentences = []
-    for index in range(spec.sentence_count):
+    lines = []
+    for _ in range(spec.sentence_count):
         total = lo if lo == hi else lo + rng.below(hi - lo + 1)
         u = int(spec.undefined_ratio * total + 1e-9)
         holes = _undefined_positions(total, u)
-        pattern = _language_pattern(total - u, spec.language_count, spec.arrangement, rng)
-        tokens = []
-        cursor = 0
+        pattern = iter(_language_pattern(total - u, spec.language_count, spec.arrangement, rng))
         for position in range(total):
-            if position in holes:
-                tag = undefined
-            else:
-                tag = tags[pattern[cursor]]
-                cursor += 1
-            tokens.append(Token(surface=f"w{position}", tag=tag))
-        sentences.append(Sentence(index=index, tokens=tuple(tokens)))
-    return Corpus(name="synthetic", sentences=tuple(sentences), tag_registry=frozenset(codes))
+            lines.append(f"w{position}\t{'UN' if position in holes else codes[next(pattern)]}\n")
+        lines.append("\n")
+    return "".join(lines)
+
+
+def generate(spec: GenSpec) -> Corpus:
+    """The corpus a spec describes, parsed from its COLUMN text; deterministic for a fixed seed."""
+    policy = TagPolicy(language_codes=frozenset(f"L{i + 1}" for i in range(spec.language_count)))
+    return parse_column_format(_column_text(spec), policy, name="synthetic")
 
 
 def enumerate_small(max_words: int, alphabet: Sequence[LanguageTag]) -> Iterator[Sentence]:

@@ -257,3 +257,13 @@ class TestStats:
         assert "Language Independent" in out
         assert "Words/sentence" in out
         assert "CMI all" in out
+
+    def test_long_numeric_codes_sort_numerically(self, capsys, tmp_path):
+        long_code = "L" + "1" * 5000  # more digits than int() converts
+        codes = [long_code, "L10", "L3", "L\u0662", "L1", "L01", "EN"]  # U+0662 is ARABIC-INDIC DIGIT TWO
+        corpus = tmp_path / "long.tags"
+        corpus.write_text("".join(f"w{i}\t{c}\n" for i, c in enumerate(codes)), encoding="utf-8")
+        code, out, err = run(capsys, "stats", str(corpus))
+        assert (code, err) == (0, "")
+        rows = [line.split()[0] for line in out.splitlines() if line.split()[:1] and line.split()[0] in codes]
+        assert rows == ["EN", "L01", "L1", "L\u0662", "L3", "L10", long_code]

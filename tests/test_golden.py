@@ -19,6 +19,17 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 GENERATE_ARGV = ["generate", "--sentences", "40", "--words", "3:16", "--languages", "3",
                  "--arrangement", "random", "--undefined-ratio", "0.1", "--seed", "7"]
 
+# More `generate` specs, pinned as text only: long blocked sentences, a
+# monolingual mostly-undefined corpus with one-token sentences, and a fixed length.
+GENERATE_SPECS = {
+    "synth_blocked": ["--sentences", "3", "--words", "80:200", "--languages", "2",
+                      "--arrangement", "blocked", "--undefined-ratio", "0.1", "--seed", "41"],
+    "synth_mono_un": ["--sentences", "12", "--words", "1:8", "--languages", "1",
+                      "--arrangement", "alternating", "--undefined-ratio", "0.6", "--seed", "5"],
+    "synth_fixed5": ["--sentences", "6", "--words", "5", "--languages", "3",
+                     "--arrangement", "random", "--undefined-ratio", "0.2", "--seed", "3"],
+}
+
 SOURCES = {
     "case6": FIXTURES / "case6.tags",
     "cases_math": FIXTURES / "cases_math.tags",
@@ -43,6 +54,12 @@ def stdout_bytes(capsys, argv: list[str]) -> bytes:
 
 def test_generate(capsys):
     assert stdout_bytes(capsys, GENERATE_ARGV) == (GOLDEN / "synth7.tags").read_bytes()
+
+
+@pytest.mark.parametrize("name", GENERATE_SPECS)
+def test_generate_spec(capsys, name):
+    argv = ["generate", *GENERATE_SPECS[name]]
+    assert stdout_bytes(capsys, argv) == (GOLDEN / f"{name}.tags").read_bytes()
 
 
 @pytest.mark.parametrize("source", SOURCES)

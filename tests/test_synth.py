@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from codemix import (
     Arrangement,
@@ -14,6 +16,7 @@ from codemix import (
     generate,
     write_corpus,
 )
+from codemix.cli import main
 
 
 def codes_of(sentence):
@@ -92,6 +95,35 @@ class TestGenerate:
     def test_surfaces_are_positional(self):
         corpus = generate(GenSpec(sentence_count=1, words=4, language_count=2))
         assert [t.surface for t in corpus.sentences[0].tokens] == ["w0", "w1", "w2", "w3"]
+
+
+@st.composite
+def gen_specs(draw) -> GenSpec:
+    lo = draw(st.integers(1, 12))
+    hi = draw(st.integers(lo, lo + 30))
+    return GenSpec(
+        sentence_count=draw(st.integers(1, 20)),
+        words=draw(st.sampled_from([lo, (lo, hi)])),
+        language_count=draw(st.integers(1, min(4, lo))),
+        arrangement=draw(st.sampled_from(Arrangement)),
+        undefined_ratio=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        seed=draw(st.integers(0, (1 << 64) - 1)),
+    )
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(gen_specs())
+def test_generate_cli_prints_the_generated_corpus(capsys, spec):
+    lo, hi = spec.word_range
+    words = str(lo) if isinstance(spec.words, int) else f"{lo}:{hi}"
+    argv = ["generate", "--sentences", str(spec.sentence_count), "--words", words,
+            "--languages", str(spec.language_count), "--arrangement", spec.arrangement.value,
+            "--undefined-ratio", repr(spec.undefined_ratio), "--seed", str(spec.seed)]
+    assert main(argv) == 0
+    corpus = generate(spec)
+    assert capsys.readouterr().out == write_corpus(corpus, CorpusFormat.COLUMN)
+    assert corpus.tag_registry == {f"L{i}" for i in range(1, spec.language_count + 1)}
+    assert corpus.name == "synthetic"
 
 
 class TestEnumerateSmall:
