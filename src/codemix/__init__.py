@@ -26,7 +26,6 @@ from .metrics import (
     SentenceMetrics,
     analyze_sentence,
     cmi,
-    complexity_factor,
     count_sentence,
     dampening_divisor,
     language_factor,
@@ -84,7 +83,6 @@ __all__ = [
     "analyze_sentence",
     "cmi",
     "compare",
-    "complexity_factor",
     "count_sentence",
     "dampening_divisor",
     "enumerate_small",

@@ -39,12 +39,12 @@ class CliError(Exception):
 
 def _build_policy(args: argparse.Namespace) -> TagPolicy:
     kwargs: dict = {}
-    if getattr(args, "language_codes", None):
+    if args.language_codes:
         codes = [c.strip() for c in args.language_codes.split(",") if c.strip()]
         if not codes:
             raise ValueError("--languages requires at least one code")
         kwargs["language_codes"] = frozenset(codes)
-    if getattr(args, "unknown", None):
+    if args.unknown:
         kwargs["unknown_tag_action"] = UnknownTagAction(args.unknown)
     return TagPolicy(**kwargs)
 
@@ -135,17 +135,14 @@ def _parse_words(raw: str) -> int | tuple[int, int]:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    try:
-        spec = GenSpec(
-            sentence_count=args.sentences,
-            words=_parse_words(args.words),
-            language_count=args.languages,
-            arrangement=Arrangement(args.arrangement),
-            undefined_ratio=args.undefined_ratio,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    spec = GenSpec(
+        sentence_count=args.sentences,
+        words=_parse_words(args.words),
+        language_count=args.languages,
+        arrangement=Arrangement(args.arrangement),
+        undefined_ratio=args.undefined_ratio,
+        seed=args.seed,
+    )
     sys.stdout.write(_column_text(spec))
     return 0
 

@@ -28,14 +28,13 @@ logger = logging.getLogger(__name__)
 # built around; the default registry.
 DEFAULT_LANGUAGES = frozenset({"BN", "EN", "GU", "HI", "KA", "ML", "MR", "TA", "TE"})
 
-DEFAULT_UNDEFINED_ALIASES = frozenset({"UN", "UNIV", "NE", "X", "MIX", "OTHER"})
-
 _ALIAS_REASONS = {
     "UN": UndefinedReason.UNIVERSAL,
     "UNIV": UndefinedReason.UNIVERSAL,
     "NE": UndefinedReason.NAMED_ENTITY,
     "X": UndefinedReason.SYMBOL,
     "MIX": UndefinedReason.INTRA_WORD_MIX,
+    "OTHER": UndefinedReason.OTHER,
 }
 
 
@@ -66,19 +65,17 @@ class TagPolicy:
     """How raw tag strings map onto language/undefined assignments.
 
     Codes of the form L<number> (the synthetic family used by the corpus
-    generator and by abstract test patterns) are accepted as languages
-    regardless of the registry while accept_synthetic is set.
+    generator and by abstract test patterns) are always languages, whatever
+    the registry. The undefined aliases are the fixed keys of _ALIAS_REASONS.
     """
 
     language_codes: frozenset[str] = DEFAULT_LANGUAGES
-    undefined_aliases: frozenset[str] = DEFAULT_UNDEFINED_ALIASES
     unknown_tag_action: UnknownTagAction = UnknownTagAction.ERROR
-    accept_synthetic: bool = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "language_codes", frozenset(c.upper() for c in self.language_codes))
-        object.__setattr__(self, "undefined_aliases", frozenset(a.upper() for a in self.undefined_aliases))
-        overlap = self.language_codes & self.undefined_aliases
+        codes = frozenset(LanguageTag.language(c).code for c in self.language_codes)
+        object.__setattr__(self, "language_codes", codes)
+        overlap = codes & _ALIAS_REASONS.keys()
         if overlap:
             raise ValueError(f"language codes and undefined aliases overlap: {sorted(overlap)}")
 
@@ -95,12 +92,10 @@ def normalize_tag(raw: str, policy: TagPolicy = DEFAULT_POLICY) -> LanguageTag:
     if not raw:
         raise UnknownTagError("empty tag")
     upper = raw.upper()
-    if upper in policy.language_codes:
+    if upper in policy.language_codes or _is_synthetic_code(upper):
         return LanguageTag.language(upper)
-    if policy.accept_synthetic and _is_synthetic_code(upper):
-        return LanguageTag.language(upper)
-    if upper in policy.undefined_aliases:
-        return LanguageTag.undefined(_ALIAS_REASONS.get(upper, UndefinedReason.OTHER))
+    if upper in _ALIAS_REASONS:
+        return LanguageTag.undefined(_ALIAS_REASONS[upper])
     if policy.unknown_tag_action is UnknownTagAction.TREAT_UNDEFINED:
         return LanguageTag.undefined(UndefinedReason.OTHER)
     raise UnknownTagError(f"unknown tag {raw!r}")

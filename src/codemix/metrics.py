@@ -39,11 +39,10 @@ class Dampening(enum.Enum):
 
 @dataclass(frozen=True)
 class MetricConfig:
-    """Weights for the mix and switch terms, and the dampening used by complexity_factor."""
+    """Weights for the mix and switch terms of every CF."""
 
     mix_weight: float = 50.0
     switch_weight: float = 50.0
-    dampening: Dampening = Dampening.LINEAR
 
     def __post_init__(self) -> None:
         # A finite sum also keeps every CF finite: CF <= a + b, as MF, SF <= 1 <= f(LF).
@@ -166,21 +165,12 @@ def dampening_divisor(lf: float, total_tokens: int, kind: Dampening) -> float:
     raise ValueError(f"unknown dampening: {kind!r}")
 
 
-_CF_BY_DAMPENING = {Dampening.RAW_LF: "cf1", Dampening.LINEAR: "cf2", Dampening.ARCTAN: "cf3"}
-
-
-def complexity_factor(counts: SentenceCounts, config: MetricConfig = DEFAULT_CONFIG) -> float:
-    """(a*MF + b*SF) / f(LF) with the configured dampening.
-
-    Monolingual and all-undefined sentences score 0: both factors in the
-    numerator vanish, so the divisor is never evaluated for them. This is
-    the CF1, CF2 or CF3 field of metrics_from_counts.
-    """
-    return getattr(metrics_from_counts(counts, config), _CF_BY_DAMPENING[config.dampening])
-
-
 def metrics_from_counts(counts: SentenceCounts, config: MetricConfig = DEFAULT_CONFIG) -> SentenceMetrics:
-    """Evaluate every index from one counting summary."""
+    """Evaluate every index from one counting summary.
+
+    Monolingual and all-undefined sentences score 0 on every CF: both factors
+    in the numerator vanish, so no divisor is evaluated for them.
+    """
     lf = language_factor(counts)
     sf = switching_factor(counts)
     mf = mix_factor(counts)

@@ -8,8 +8,10 @@ three token arrangements:
   RANDOM      -- each slot drawn uniformly from the N languages
 
 Undefined (UN) tokens are inserted at evenly spaced interior positions to
-meet the requested ratio: u = floor(ratio * W) with positions
-floor((i+1) * W / (u+1)).
+meet the requested ratio: u = floor(ratio * W + 1e-9), capped at W - 1 so
+every sentence keeps a language, with positions floor((i+1) * W / (u+1)).
+The 1e-9 keeps a product such as 0.58 * 50 = 28.999999999999996 from losing
+an undefined token to rounding.
 
 generate() is parse_column_format of the COLUMN text `codemix generate`
 prints, named "synthetic", with registry L1..LN.
@@ -137,7 +139,7 @@ def _column_text(spec: GenSpec) -> str:
     lines = []
     for _ in range(spec.sentence_count):
         total = lo if lo == hi else lo + rng.below(hi - lo + 1)
-        u = int(spec.undefined_ratio * total + 1e-9)
+        u = min(int(spec.undefined_ratio * total + 1e-9), total - 1)
         holes = _undefined_positions(total, u)
         pattern = iter(_language_pattern(total - u, spec.language_count, spec.arrangement, rng))
         for position in range(total):

@@ -133,6 +133,7 @@ class TestAnalyze:
         for codes, reason in (
             ("un", "language codes and undefined aliases overlap: ['UN']"),
             (",", "--languages requires at least one code"),
+            ("e n", "malformed language code: 'E N'"),
         ):
             assert run(capsys, "stats", str(src), "--languages", codes) == (1, "", f"error: {src}: {reason}\n")
 
@@ -245,9 +246,11 @@ class TestGenerate:
         assert json.loads(report)["sentences"] == 2
 
     def test_invalid_spec_reports_error(self, capsys):
-        code, _, err = run(capsys, "generate", "--sentences", "1", "--words", "2", "--languages", "5")
-        assert code == 1
-        assert "language_count" in err
+        assert run(capsys, "generate", "--sentences", "1", "--words", "2", "--languages", "5") == (
+            1,
+            "",
+            "error: language_count 5 exceeds minimum sentence length 2\n",
+        )
 
 
 class TestStats:

@@ -44,9 +44,7 @@ class TestNormalizeTag:
 
     def test_synthetic_codes_accepted_by_default(self):
         assert normalize_tag("L10").code == "L10"
-        strict = TagPolicy(accept_synthetic=False)
-        with pytest.raises(UnknownTagError):
-            normalize_tag("L10", strict)
+        assert normalize_tag("l7", TagPolicy(language_codes={"EN"})).code == "L7"
 
     def test_custom_registry(self):
         policy = TagPolicy(language_codes=frozenset({"ES", "EN"}))
@@ -55,6 +53,10 @@ class TestNormalizeTag:
     def test_policy_rejects_overlapping_sets(self):
         with pytest.raises(ValueError):
             TagPolicy(language_codes=frozenset({"X", "EN"}))
+
+    def test_policy_rejects_malformed_codes(self):
+        with pytest.raises(ValueError, match=r"^malformed language code: 'E N'$"):
+            TagPolicy(language_codes=frozenset({"e n", "EN"}))
 
 
 class TestColumnParsing:

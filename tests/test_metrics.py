@@ -9,10 +9,10 @@ from codemix import (
     MetricConfig,
     analyze_sentence,
     cmi,
-    complexity_factor,
     count_sentence,
     dampening_divisor,
     language_factor,
+    metrics_from_counts,
     mix_factor,
     switching_factor,
 )
@@ -113,28 +113,28 @@ class TestDampening:
 
 class TestComplexityFactor:
     def test_case_one_both_squashes_agree(self):
-        c = counts_of([f"L{i}" for i in range(10)])
-        assert complexity_factor(c, MetricConfig(dampening=Dampening.LINEAR)) == pytest.approx(95.0)
-        assert complexity_factor(c, MetricConfig(dampening=Dampening.ARCTAN)) == pytest.approx(95.0)
+        m = metrics_from_counts(counts_of([f"L{i}" for i in range(10)]))
+        assert m.cf2 == pytest.approx(95.0)
+        assert m.cf3 == pytest.approx(95.0)
 
     def test_alternating_pair(self):
-        c = counts_of(["L1", "L2"] * 5)
-        assert complexity_factor(c, MetricConfig(dampening=Dampening.LINEAR)) == pytest.approx(67.5)
-        assert complexity_factor(c, MetricConfig(dampening=Dampening.ARCTAN)) == pytest.approx(63.2, abs=0.1)
+        m = metrics_from_counts(counts_of(["L1", "L2"] * 5))
+        assert m.cf2 == pytest.approx(67.5)
+        assert m.cf3 == pytest.approx(63.2, abs=0.1)
 
     def test_two_blocks(self):
-        c = counts_of(["L1"] * 5 + ["L2"] * 5)
-        assert complexity_factor(c, MetricConfig(dampening=Dampening.LINEAR)) == pytest.approx(27.5)
-        assert complexity_factor(c, MetricConfig(dampening=Dampening.ARCTAN)) == pytest.approx(25.7, abs=0.1)
+        m = metrics_from_counts(counts_of(["L1"] * 5 + ["L2"] * 5))
+        assert m.cf2 == pytest.approx(27.5)
+        assert m.cf3 == pytest.approx(25.7, abs=0.1)
 
     def test_monolingual_and_all_undefined_are_zero(self):
-        assert complexity_factor(counts_of(["EN"] * 4)) == 0.0
-        assert complexity_factor(counts_of([None, None])) == 0.0
+        assert metrics_from_counts(counts_of(["EN"] * 4)).cf2 == 0.0
+        assert metrics_from_counts(counts_of([None, None])).cf2 == 0.0
 
     def test_mix_only_weights(self):
         c = counts_of(["L1", "L2"] * 5)
-        config = MetricConfig(mix_weight=100.0, switch_weight=0.0, dampening=Dampening.LINEAR)
-        assert complexity_factor(c, config) == pytest.approx(45.0)
+        config = MetricConfig(mix_weight=100.0, switch_weight=0.0)
+        assert metrics_from_counts(c, config).cf2 == pytest.approx(45.0)
 
 
 class TestAnalyzeSentence:

@@ -72,6 +72,10 @@ class TestGenerate:
         counts = count_sentence(corpus.sentences[0])
         assert counts.tagged_tokens == 8
 
+    def test_ratio_just_below_one_keeps_a_language_in_every_sentence(self):
+        corpus = generate(GenSpec(sentence_count=2, words=1, language_count=1, undefined_ratio=0.9999999999))
+        assert [codes_of(s) for s in corpus.sentences] == [["L1"], ["L1"]]
+
     def test_random_draws_only_requested_languages(self):
         corpus = generate(GenSpec(sentence_count=10, words=12, language_count=4,
                                   arrangement=Arrangement.RANDOM, seed=7))
