@@ -40,6 +40,7 @@ SOURCES = {
 STDOUT_OUTPUTS = {
     "analyze.json": ["analyze"],
     "analyze_per_sentence.json": ["analyze", "--per-sentence"],
+    "analyze_per_sentence_w30_70.json": ["analyze", "--per-sentence", "--weights", "30,70"],
     "analyze.csv": ["analyze", "--out", "csv"],
     "stats.txt": ["stats"],
 }
