@@ -20,18 +20,12 @@ from .corpus_io import (
 )
 from .metrics import (
     DEFAULT_CONFIG,
-    Dampening,
     MetricConfig,
     SentenceCounts,
     SentenceMetrics,
     analyze_sentence,
-    cmi,
     count_sentence,
-    dampening_divisor,
-    language_factor,
     metrics_from_counts,
-    mix_factor,
-    switching_factor,
 )
 from .model import Corpus, LanguageTag, Sentence, Token, UndefinedReason
 from .stats import (
@@ -47,7 +41,7 @@ from .stats import (
     language_distribution,
     scatter_data,
 )
-from .synth import Arrangement, GenSpec, Xoshiro256StarStar, enumerate_small, generate
+from .synth import Arrangement, GenSpec, Xoshiro256StarStar, generate
 
 __version__ = "0.1.0"
 
@@ -57,7 +51,6 @@ __all__ = [
     "CorpusComparison",
     "CorpusFormat",
     "CorpusReport",
-    "Dampening",
     "DEFAULT_CONFIG",
     "DEFAULT_POLICY",
     "DEFAULT_LANGUAGES",
@@ -81,20 +74,14 @@ __all__ = [
     "Xoshiro256StarStar",
     "aggregate",
     "analyze_sentence",
-    "cmi",
     "compare",
     "count_sentence",
-    "dampening_divisor",
-    "enumerate_small",
     "generate",
     "language_distribution",
-    "language_factor",
     "metrics_from_counts",
-    "mix_factor",
     "normalize_tag",
     "parse_column_format",
     "parse_inline_format",
     "scatter_data",
-    "switching_factor",
     "write_corpus",
 ]

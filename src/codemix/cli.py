@@ -106,6 +106,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    if args.file_a == args.file_b == "-":
+        raise CliError("-: standard input can be read only once")
     comparison = compare(_report(args.file_a, args), _report(args.file_b, args))
     if args.out == "csv":
         sys.stdout.write(render_comparison_csv(comparison))

@@ -5,7 +5,7 @@ Given a sentence of language-tagged tokens this module computes:
   LF  (language factor)   W / N            -- tokens per distinct language
   SF  (switching factor)  S / (W - 1)      -- realized switch points over the maximum
   MF  (mix factor)        (W' - max_w) / W'-- share of tokens outside the dominant language
-  CMI                     100 * MF         -- the classic Code Mixing Index
+  CMI                     100 * (1 - max_w / W') -- the classic Code Mixing Index
   CF1/CF2/CF3             (a*MF + b*SF) / f(LF) for f = identity, linear, arctan
 
 where W is the total token count (undefined tokens included), u the undefined
@@ -20,21 +20,12 @@ number of threads.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
 from .model import LanguageTag, Sentence
-
-
-class Dampening(enum.Enum):
-    """Divisor applied to the weighted MF/SF sum: raw LF, or one of two squashes of it."""
-
-    RAW_LF = "raw_lf"
-    LINEAR = "linear"
-    ARCTAN = "arctan"
 
 
 @dataclass(frozen=True)
@@ -59,7 +50,10 @@ DEFAULT_CONFIG = MetricConfig()
 
 @dataclass(frozen=True)
 class SentenceCounts:
-    """Counting summary of one sentence; input to every index formula."""
+    """Counting summary of one sentence; input to every index formula.
+
+    per_language is stored as given; count_sentence passes a read-only view.
+    """
 
     total_tokens: int  # W, undefined tokens included
     undefined_tokens: int  # u
@@ -68,9 +62,6 @@ class SentenceCounts:
     language_count: int  # N, distinct languages with a nonzero count
     dominant_count: int  # max over per_language, 0 when no language present
     switch_count: int  # S, switches over the language-bearing subsequence
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "per_language", MappingProxyType(dict(self.per_language)))
 
 
 @dataclass(frozen=True)
@@ -111,82 +102,52 @@ def _count_tags(tags: list[LanguageTag]) -> SentenceCounts:
         total_tokens=total,
         undefined_tokens=undefined,
         tagged_tokens=total - undefined,
-        per_language=per_language,
+        per_language=MappingProxyType(per_language),
         language_count=len(per_language),
         dominant_count=max(per_language.values(), default=0),
         switch_count=switches,
     )
 
 
-def language_factor(counts: SentenceCounts) -> float:
-    """W / N; 0 for a sentence with no language-bearing token."""
-    if counts.language_count == 0:
-        return 0.0
-    return counts.total_tokens / counts.language_count
+def _linear_divisor(lf: float, total_tokens: int) -> float:
+    """CF2's f(LF): linear from f(1) = 1 to f(W) = 1.25; needs W >= 2."""
+    return (0.25 / (total_tokens - 1)) * (lf - 1.0) + 1.0
 
 
-def switching_factor(counts: SentenceCounts) -> float:
-    """S / (W - 1); 0 for a single-token sentence."""
-    if counts.total_tokens <= 1:
-        return 0.0
-    return counts.switch_count / (counts.total_tokens - 1)
-
-
-def mix_factor(counts: SentenceCounts) -> float:
-    """(W' - max_w) / W'; 0 when no language-bearing token exists."""
-    if counts.tagged_tokens == 0:
-        return 0.0
-    return (counts.tagged_tokens - counts.dominant_count) / counts.tagged_tokens
-
-
-def cmi(counts: SentenceCounts) -> float:
-    """Code Mixing Index: 100 * (1 - max_w / W'); 0 when every token is undefined."""
-    if counts.tagged_tokens == 0:
-        return 0.0
-    return 100.0 * (1.0 - counts.dominant_count / counts.tagged_tokens)
-
-
-def dampening_divisor(lf: float, total_tokens: int, kind: Dampening) -> float:
-    """The f(LF) divisor for a given dampening.
-
-    LINEAR interpolates so that lf=1 maps to 1 and lf=W maps to 1.25; it is
-    undefined for single-token sentences (division by W-1) and rejected there.
-    ARCTAN is arctan(lf)/pi + 0.75, which also maps lf=1 to exactly 1. Both
-    squashes stay within [1, 1.25] for the whole admissible range lf in [1, W].
-    """
-    if kind is Dampening.RAW_LF:
-        return lf
-    if kind is Dampening.LINEAR:
-        if total_tokens < 2:
-            raise ValueError("linear dampening is undefined for a single-token sentence")
-        return (0.25 / (total_tokens - 1)) * (lf - 1.0) + 1.0
-    if kind is Dampening.ARCTAN:
-        return math.atan(lf) / math.pi + 0.75
-    raise ValueError(f"unknown dampening: {kind!r}")
+def _arctan_divisor(lf: float) -> float:
+    """CF3's f(LF): arctan(LF) / pi + 0.75, exactly 1 at LF = 1 and below 1.25 for every LF."""
+    return math.atan(lf) / math.pi + 0.75
 
 
 def metrics_from_counts(counts: SentenceCounts, config: MetricConfig = DEFAULT_CONFIG) -> SentenceMetrics:
     """Evaluate every index from one counting summary.
 
-    Monolingual and all-undefined sentences score 0 on every CF: both factors
-    in the numerator vanish, so no divisor is evaluated for them.
+    Zero guards: LF is 0 when N = 0, SF is 0 when W <= 1, and MF and CMI are
+    0 when W' = 0. Monolingual and all-undefined sentences (N <= 1) score 0
+    on every CF: both factors in the numerator vanish. A divisor is evaluated
+    only when N >= 2, so W >= 2 there, and both squashes lie in [1, 1.25].
     """
-    lf = language_factor(counts)
-    sf = switching_factor(counts)
-    mf = mix_factor(counts)
-    mixing = cmi(counts)
+    total = counts.total_tokens
+    tagged = counts.tagged_tokens
+    lf = 0.0 if counts.language_count == 0 else total / counts.language_count
+    sf = 0.0 if total <= 1 else counts.switch_count / (total - 1)
+    if tagged == 0:
+        mf = cmi = 0.0
+    else:
+        mf = (tagged - counts.dominant_count) / tagged
+        cmi = 100.0 * (1.0 - counts.dominant_count / tagged)
     if counts.language_count <= 1:
         cf1 = cf2 = cf3 = 0.0
     else:
         numerator = config.mix_weight * mf + config.switch_weight * sf
-        cf1 = numerator / dampening_divisor(lf, counts.total_tokens, Dampening.RAW_LF)
-        cf2 = numerator / dampening_divisor(lf, counts.total_tokens, Dampening.LINEAR)
-        cf3 = numerator / dampening_divisor(lf, counts.total_tokens, Dampening.ARCTAN)
+        cf1 = numerator / lf
+        cf2 = numerator / _linear_divisor(lf, total)
+        cf3 = numerator / _arctan_divisor(lf)
     return SentenceMetrics(
         language_factor=lf,
         switching_factor=sf,
         mix_factor=mf,
-        cmi=mixing,
+        cmi=cmi,
         cf1=cf1,
         cf2=cf2,
         cf3=cf3,

@@ -24,12 +24,10 @@ RNG. Uniform draws below a bound use rejection sampling (no modulo bias).
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 from .corpus_io import TagPolicy, parse_column_format
-from .model import Corpus, LanguageTag, Sentence, Token
+from .model import Corpus
 
 _MASK64 = (1 << 64) - 1
 
@@ -152,22 +150,3 @@ def generate(spec: GenSpec) -> Corpus:
     """The corpus a spec describes, parsed from its COLUMN text; deterministic for a fixed seed."""
     policy = TagPolicy(language_codes=frozenset(f"L{i + 1}" for i in range(spec.language_count)))
     return parse_column_format(_column_text(spec), policy, name="synthetic")
-
-
-def enumerate_small(max_words: int, alphabet: Sequence[LanguageTag]) -> Iterator[Sentence]:
-    """Every tag sequence of length 1..max_words over the alphabet, lexicographically.
-
-    Guarded at max_words <= 8: the stream has sum(len(alphabet)**k) members.
-    """
-    if max_words > 8:
-        raise ValueError("enumerate_small is capped at max_words <= 8")
-    if max_words < 1:
-        raise ValueError("max_words must be >= 1")
-    if not alphabet:
-        raise ValueError("alphabet must be non-empty")
-    index = 0
-    for length in range(1, max_words + 1):
-        for combo in itertools.product(alphabet, repeat=length):
-            tokens = tuple(Token(surface=f"w{i}", tag=tag) for i, tag in enumerate(combo))
-            yield Sentence(index=index, tokens=tokens)
-            index += 1

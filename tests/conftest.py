@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import itertools
 import sys
 from pathlib import Path
+from typing import Iterator, Sequence
 
 import pytest
 
@@ -29,6 +31,25 @@ def make_corpus(tag_lists: list[list[str | None]], name: str = "test") -> Corpus
     sentences = tuple(make_sentence(codes, index=i) for i, codes in enumerate(tag_lists))
     registry = {c for codes in tag_lists for c in codes if c is not None}
     return Corpus(name=name, sentences=sentences, tag_registry=frozenset(registry))
+
+
+def enumerate_small(max_words: int, alphabet: Sequence[LanguageTag]) -> Iterator[Sentence]:
+    """Every tag sequence of length 1..max_words over the alphabet, lexicographically.
+
+    Guarded at max_words <= 8: the stream has sum(len(alphabet)**k) members.
+    """
+    if max_words > 8:
+        raise ValueError("enumerate_small is capped at max_words <= 8")
+    if max_words < 1:
+        raise ValueError("max_words must be >= 1")
+    if not alphabet:
+        raise ValueError("alphabet must be non-empty")
+    index = 0
+    for length in range(1, max_words + 1):
+        for combo in itertools.product(alphabet, repeat=length):
+            tokens = tuple(Token(surface=f"w{i}", tag=tag) for i, tag in enumerate(combo))
+            yield Sentence(index=index, tokens=tokens)
+            index += 1
 
 
 @pytest.fixture

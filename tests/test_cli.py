@@ -184,6 +184,12 @@ class TestCompare:
         assert code == 0
         assert out.splitlines()[0] == "index,mean_a,mean_b,delta,verdict"
 
+    def test_stdin_given_twice_rejected_before_reading(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO((FIXTURES / "case6.tags").read_bytes()), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert run(capsys, "compare", "-", "-") == (1, "", "error: -: standard input can be read only once\n")
+        assert stdin.buffer.tell() == 0
+
 
 class TestPlot:
     def test_csv_contract(self, capsys, tmp_path):

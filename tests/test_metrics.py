@@ -4,23 +4,17 @@ import math
 
 import pytest
 
-from codemix import (
-    Dampening,
-    MetricConfig,
-    analyze_sentence,
-    cmi,
-    count_sentence,
-    dampening_divisor,
-    language_factor,
-    metrics_from_counts,
-    mix_factor,
-    switching_factor,
-)
+from codemix import MetricConfig, analyze_sentence, count_sentence, metrics_from_counts
+from codemix.metrics import _arctan_divisor, _linear_divisor
 from conftest import make_sentence
 
 
 def counts_of(codes):
     return count_sentence(make_sentence(codes))
+
+
+def metrics_of(codes):
+    return metrics_from_counts(counts_of(codes))
 
 
 class TestCountSentence:
@@ -58,57 +52,50 @@ class TestCountSentence:
 
 class TestFactors:
     def test_language_factor(self):
-        assert language_factor(counts_of(["BN"] * 3 + ["EN"] * 9)) == 6.0  # W=12, N=2
-        assert language_factor(counts_of(["BN"] * 3 + ["EN"] * 3 + ["HI"] * 6)) == 4.0  # W=12, N=3
-        assert language_factor(counts_of([f"L{i}" for i in range(10)])) == 1.0
-        assert language_factor(counts_of([None, None])) == 0.0
+        assert metrics_of(["BN"] * 3 + ["EN"] * 9).language_factor == 6.0  # W=12, N=2
+        assert metrics_of(["BN"] * 3 + ["EN"] * 3 + ["HI"] * 6).language_factor == 4.0  # W=12, N=3
+        assert metrics_of([f"L{i}" for i in range(10)]).language_factor == 1.0
+        assert metrics_of([None, None]).language_factor == 0.0
 
     def test_switching_factor(self):
         # 4 switches over 6 words, then 1 switch over 6 words
-        assert switching_factor(counts_of(["BN", "EN", "BN", "EN", "EN", "BN"])) == pytest.approx(0.8)
-        assert switching_factor(counts_of(["EN", "EN", "EN", "BN", "BN", "BN"])) == pytest.approx(0.2)
-        assert switching_factor(counts_of(["EN"])) == 0.0
+        assert metrics_of(["BN", "EN", "BN", "EN", "EN", "BN"]).switching_factor == pytest.approx(0.8)
+        assert metrics_of(["EN", "EN", "EN", "BN", "BN", "BN"]).switching_factor == pytest.approx(0.2)
+        assert metrics_of(["EN"]).switching_factor == 0.0
 
     def test_mix_factor(self):
-        assert mix_factor(counts_of(["BN"] * 3 + ["EN"] * 9)) == 0.25
-        assert mix_factor(counts_of(["BN"] * 3 + ["EN"] * 3 + ["HI"] * 6)) == 0.5
-        assert mix_factor(counts_of(["EN"] * 7)) == 0.0
-        assert mix_factor(counts_of([None, None])) == 0.0
+        assert metrics_of(["BN"] * 3 + ["EN"] * 9).mix_factor == 0.25
+        assert metrics_of(["BN"] * 3 + ["EN"] * 3 + ["HI"] * 6).mix_factor == 0.5
+        assert metrics_of(["EN"] * 7).mix_factor == 0.0
+        assert metrics_of([None, None]).mix_factor == 0.0
 
     def test_cmi_values(self):
-        assert cmi(counts_of([f"L{i}" for i in range(10)])) == pytest.approx(90.0)
-        assert cmi(counts_of(["EN"] * 10)) == 0.0
+        assert metrics_of([f"L{i}" for i in range(10)]).cmi == pytest.approx(90.0)
+        assert metrics_of(["EN"] * 10).cmi == 0.0
         mixed = ["EN"] * 9 + ["BN"] * 3 + ["HI"] * 9 + [None] * 4
-        assert cmi(counts_of(mixed)) == pytest.approx(57.14, abs=0.005)
-        assert cmi(counts_of([None, None, None])) == 0.0
+        assert metrics_of(mixed).cmi == pytest.approx(57.14, abs=0.005)
+        assert metrics_of([None, None, None]).cmi == 0.0
 
     def test_cmi_is_hundred_times_mix_factor(self):
         for codes in (["EN", "BN", None], ["EN"] * 4 + ["BN"], [None], ["EN", "HI", "HI", None, "EN"]):
-            c = counts_of(codes)
-            assert cmi(c) == pytest.approx(100.0 * mix_factor(c))
+            m = metrics_of(codes)
+            assert m.cmi == pytest.approx(100.0 * m.mix_factor)
 
 
 class TestDampening:
     def test_linear_left_endpoint(self):
         for total in (2, 5, 17):
-            assert dampening_divisor(1.0, total, Dampening.LINEAR) == 1.0
+            assert _linear_divisor(1.0, total) == 1.0
 
     @pytest.mark.parametrize("total", range(2, 51))
     def test_linear_at_monolingual_factor_is_five_quarters(self, total):
-        assert dampening_divisor(float(total), total, Dampening.LINEAR) == pytest.approx(1.25)
+        assert _linear_divisor(float(total), total) == pytest.approx(1.25)
 
     def test_arctan_at_one(self):
-        assert dampening_divisor(1.0, 10, Dampening.ARCTAN) == 1.0
+        assert _arctan_divisor(1.0) == 1.0
 
     def test_arctan_upper_bound(self):
-        assert dampening_divisor(1e9, 10, Dampening.ARCTAN) < 1.25
-
-    def test_raw_passthrough(self):
-        assert dampening_divisor(7.5, 15, Dampening.RAW_LF) == 7.5
-
-    def test_linear_rejects_single_token(self):
-        with pytest.raises(ValueError):
-            dampening_divisor(1.0, 1, Dampening.LINEAR)
+        assert _arctan_divisor(1e9) < 1.25
 
 
 class TestComplexityFactor:
@@ -188,6 +175,5 @@ def test_switch_count_never_exceeds_tagged_minus_one():
 
 
 def test_arctan_divisor_formula():
-    c = counts_of(["L1", "L2"] * 5)
-    divisor = dampening_divisor(language_factor(c), c.total_tokens, Dampening.ARCTAN)
-    assert divisor == pytest.approx(math.atan(5.0) / math.pi + 0.75)
+    lf = metrics_of(["L1", "L2"] * 5).language_factor
+    assert _arctan_divisor(lf) == pytest.approx(math.atan(5.0) / math.pi + 0.75)

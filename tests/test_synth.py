@@ -12,11 +12,11 @@ from codemix import (
     Xoshiro256StarStar,
     analyze_sentence,
     count_sentence,
-    enumerate_small,
     generate,
     write_corpus,
 )
 from codemix.cli import main
+from conftest import enumerate_small
 
 
 def codes_of(sentence):
