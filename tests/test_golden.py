@@ -30,6 +30,11 @@ GENERATE_SPECS = {
                      "--arrangement", "random", "--undefined-ratio", "0.2", "--seed", "3"],
 }
 
+# One 10002-token sentence with a single switch: SF = 1/10001 is the only way a
+# golden file prints a float in exponent form ("SF": 9.999000099990002e-05).
+EXPONENT_ARGV = ["generate", "--sentences", "1", "--words", "10002", "--languages", "2",
+                 "--arrangement", "blocked", "--seed", "1"]
+
 SOURCES = {
     "case6": FIXTURES / "case6.tags",
     "cases_math": FIXTURES / "cases_math.tags",
@@ -69,6 +74,13 @@ def test_stdout(capsys, source, output):
     command, *flags = STDOUT_OUTPUTS[output]
     argv = [command, str(SOURCES[source]), *flags]
     assert stdout_bytes(capsys, argv) == (GOLDEN / f"{source}.{output}").read_bytes()
+
+
+def test_exponent_form_floats(capsys, tmp_path):
+    source = tmp_path / "synth_exponent.tags"
+    source.write_bytes(stdout_bytes(capsys, EXPONENT_ARGV))
+    got = stdout_bytes(capsys, ["analyze", str(source), "--per-sentence"])
+    assert got == (GOLDEN / "synth_exponent.analyze_per_sentence.json").read_bytes()
 
 
 @pytest.mark.parametrize("pair", COMPARE_PAIRS, ids="-".join)
