@@ -63,6 +63,8 @@ class SentenceCounts:
     dominant_count: int  # max over per_language, 0 when no language present
     switch_count: int  # S, switches over the language-bearing subsequence
 
+    __hash__ = None  # per_language is a mapping, which has no hash
+
 
 @dataclass(frozen=True)
 class SentenceMetrics:

@@ -8,6 +8,8 @@ column order is fixed, so identical inputs always serialize byte-identically.
 from __future__ import annotations
 
 import json
+import math
+from typing import Iterator
 
 from .metrics import MetricConfig
 from .stats import CorpusComparison, CorpusReport, SentenceRecord
@@ -21,22 +23,58 @@ def _sentence_values(record: SentenceRecord) -> tuple[float, ...]:
     return (m.language_factor, m.switching_factor, m.mix_factor, m.cmi, m.cf1, m.cf2, m.cf3)
 
 
-def _sentence_dict(record: SentenceRecord) -> dict:
-    lf, sf, mf, cmi, cf1, cf2, cf3 = _sentence_values(record)
-    raw = {"LF": lf, "SF": sf, "MF": mf, "CMI": cmi, "CF1": cf1, "CF2": cf2, "CF3": cf3}
-    rounded = {key: round(value, 2) for key, value in raw.items()}
-    return {
-        "index": record.index,
-        "W": record.counts.total_tokens,
-        "u": record.counts.undefined_tokens,
-        "N": record.counts.language_count,
-        "S": record.counts.switch_count,
-        **rounded,
-        "raw": raw,
-    }
+# One per-sentence JSON row, laid out as json.dumps(indent=2) lays it out inside
+# the report: index and counts, the seven indices rounded to 2 decimals, then
+# the same seven at full precision under "raw". str() of a float is
+# float.__repr__, which is what json prints for a finite float.
+_ROW = """\
+    {{
+      "index": {},
+      "W": {},
+      "u": {},
+      "N": {},
+      "S": {},
+      "LF": {},
+      "SF": {},
+      "MF": {},
+      "CMI": {},
+      "CF1": {},
+      "CF2": {},
+      "CF3": {},
+      "raw": {{
+        "LF": {},
+        "SF": {},
+        "MF": {},
+        "CMI": {},
+        "CF1": {},
+        "CF2": {},
+        "CF3": {}
+      }}
+    }}"""
+
+
+def _per_sentence_rows(report: CorpusReport) -> Iterator[str]:
+    """The "per_sentence" JSON rows of a report, one string per sentence, in order."""
+    for record in report.per_sentence:
+        values = _sentence_values(record)
+        if not math.isfinite(sum(values)):  # one test per row; finite values may sum to inf
+            for name, value in zip(PER_SENTENCE_COLUMNS[5:], values):
+                if not math.isfinite(value):
+                    raise ValueError(f"sentence {record.index}: {name} is {value!r}, which JSON cannot hold")
+        counts = record.counts
+        yield _ROW.format(
+            record.index,
+            counts.total_tokens,
+            counts.undefined_tokens,
+            counts.language_count,
+            counts.switch_count,
+            *[round(value, 2) for value in values],
+            *values,
+        )
 
 
 def render_report_json(report: CorpusReport, config: MetricConfig, per_sentence: bool = False) -> str:
+    """The report as JSON in json.dumps(indent=2) layout; a non-finite value raises ValueError."""
     payload: dict = {
         "corpus": report.corpus_name,
         "sentences": report.sentence_count,
@@ -66,9 +104,13 @@ def render_report_json(report: CorpusReport, config: MetricConfig, per_sentence:
         ],
         "raw": {"cmi_all": report.cmi_all, "cmi_mixed": report.cmi_mixed},
     }
-    if per_sentence:
-        payload["per_sentence"] = [_sentence_dict(r) for r in report.per_sentence]
-    return json.dumps(payload, indent=2) + "\n"
+    header = json.dumps(payload, indent=2, allow_nan=False)
+    if not per_sentence:
+        return header + "\n"
+    rows = ",\n".join(_per_sentence_rows(report))
+    listing = f"[\n{rows}\n  ]" if rows else "[]"
+    # The rows go in before the header's closing "\n}", where json puts a last key.
+    return f'{header[:-2]},\n  "per_sentence": {listing}\n}}\n'
 
 
 def render_per_sentence_csv(report: CorpusReport) -> str:

@@ -51,6 +51,8 @@ class SentenceRecord:
     counts: SentenceCounts
     metrics: SentenceMetrics
 
+    __hash__ = None  # holds SentenceCounts, which has no hash
+
 
 @dataclass(frozen=True)
 class CorpusReport:
@@ -62,6 +64,8 @@ class CorpusReport:
     cmi_all: float
     cmi_mixed: float
     per_sentence: tuple[SentenceRecord, ...]
+
+    __hash__ = None  # holds SentenceRecords, which have no hash
 
     def summary_row(self, index_name: str) -> IndexSummaryRow:
         for row in self.summary:

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Hashable
 
 import pytest
 
-from codemix import MetricConfig, analyze_sentence, count_sentence, metrics_from_counts
+from codemix import MetricConfig, aggregate, analyze_sentence, count_sentence, metrics_from_counts
 from codemix.metrics import _arctan_divisor, _linear_divisor
-from conftest import make_sentence
+from conftest import make_corpus, make_sentence
 
 
 def counts_of(codes):
@@ -166,6 +167,12 @@ def test_counts_are_immutable_mappings():
     c = counts_of(["EN", "BN"])
     with pytest.raises(TypeError):
         c.per_language["EN"] = 5
+    # Equal by value but unhashable, like the mapping they hold; so are the records and reports over them.
+    report = aggregate(make_corpus([["EN", "BN"]]))
+    for value in (c, report.per_sentence[0], report):
+        assert not isinstance(value, Hashable)
+        with pytest.raises(TypeError, match=f"unhashable type: '{type(value).__name__}'"):
+            hash(value)
 
 
 def test_switch_count_never_exceeds_tagged_minus_one():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import itertools
+import json
 import math
 
 import pytest
@@ -14,8 +15,14 @@ from codemix import (
     DEFAULT_POLICY,
     Corpus,
     CorpusFormat,
+    CorpusReport,
+    IndexSummaryRow,
+    LanguageDistributionRow,
     MetricConfig,
     ParseError,
+    SentenceCounts,
+    SentenceMetrics,
+    SentenceRecord,
     TagPolicy,
     UnknownTagAction,
     aggregate,
@@ -276,3 +283,74 @@ def test_cli_report_matches_library_report(tmp_path_factory, caplog, text, unkno
         args = argparse.Namespace(format=fmt, language_codes=None, unknown=unknown)
         cli_outcome = outcome(lambda: _report(str(path), args))
         assert cli_outcome == outcome(lambda: aggregate(parser(decoded, policy, name="fuzz")))
+
+
+# Reports built by hand, beyond what the CLI can produce: names that JSON must
+# escape, any finite float (exponent forms, subnormals, -0.0 and values that
+# round to -0.0), zero weights of either sign and sentence lists of any length.
+json_names = st.text(st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "é", "中", "\U0001f600"]) | st.characters(),
+                     max_size=8)
+json_floats = st.sampled_from([1e-05, 5e-324, 1e300, -0.0, -0.001, 0.005, 62.00830413316129]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+json_ints = st.integers(min_value=0, max_value=2**53)
+json_weights = st.tuples(*[st.sampled_from([-0.0, 0.0, 50.0, 1e300]) | st.floats(min_value=0.0, max_value=1e300)] * 2)
+json_records = st.builds(
+    SentenceRecord,
+    index=json_ints,
+    counts=st.builds(SentenceCounts, json_ints, json_ints, json_ints, st.just({}), json_ints, json_ints, json_ints),
+    metrics=st.builds(SentenceMetrics, *[json_floats] * 7),
+)
+json_reports = st.builds(
+    CorpusReport,
+    corpus_name=json_names,
+    sentence_count=json_ints,
+    token_count=json_ints,
+    distribution=st.lists(st.builds(LanguageDistributionRow, json_names, json_ints, json_ints, json_floats),
+                          max_size=3).map(tuple),
+    summary=st.lists(st.builds(IndexSummaryRow, json_names, json_floats, json_floats, json_floats),
+                     max_size=3).map(tuple),
+    cmi_all=json_floats,
+    cmi_mixed=json_floats,
+    per_sentence=st.lists(json_records, max_size=4).map(tuple),
+)
+
+
+def _sentence_dict(record: SentenceRecord) -> dict:
+    """One per-sentence row as a dict for json.dumps: the reference for the row template."""
+    m = record.metrics
+    raw = {"LF": m.language_factor, "SF": m.switching_factor, "MF": m.mix_factor, "CMI": m.cmi,
+           "CF1": m.cf1, "CF2": m.cf2, "CF3": m.cf3}
+    return {
+        "index": record.index,
+        "W": record.counts.total_tokens,
+        "u": record.counts.undefined_tokens,
+        "N": record.counts.language_count,
+        "S": record.counts.switch_count,
+        **{key: round(value, 2) for key, value in raw.items()},
+        "raw": raw,
+    }
+
+
+@given(json_reports, json_weights.filter(lambda w: 0 < w[0] + w[1] < math.inf))
+def test_report_json_equals_json_dumps_layout(report, weights):
+    config = MetricConfig(*weights)
+    payload = json.loads(render_report_json(report, config))  # the header, still json.dumps itself
+    payload["per_sentence"] = [_sentence_dict(record) for record in report.per_sentence]
+    assert render_report_json(report, config, per_sentence=True) == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_report_json_rejects_non_finite_values(value):
+    report = aggregate(make_corpus([["L1", "L2"], ["L1", "L2", "L2"]]))
+    first, second = report.per_sentence
+    bad_row = dataclasses.replace(second, metrics=dataclasses.replace(second.metrics, cf2=value))
+    with pytest.raises(ValueError, match=f"^sentence 1: CF2 is {value!r}, "):
+        render_report_json(dataclasses.replace(report, per_sentence=(first, bad_row)), DEFAULT_CONFIG, True)
+    with pytest.raises(ValueError, match="JSON compliant"):
+        render_report_json(dataclasses.replace(report, cmi_all=value), DEFAULT_CONFIG)
+    # Finite values whose sum overflows are still printed.
+    huge = dataclasses.replace(second.metrics, cf1=1e308, cf2=1e308)
+    rendered = render_report_json(dataclasses.replace(report, per_sentence=(dataclasses.replace(first, metrics=huge),)),
+                                  DEFAULT_CONFIG, per_sentence=True)
+    assert '"CF2": 1e+308' in rendered
