@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from codemix import parse_column_format
+from codemix import DEFAULT_CONFIG, aggregate, parse_column_format, parse_inline_format
 from codemix.cli import main
+from codemix.render import render_report_json
 from conftest import FIXTURES
 
 GOLDEN_CASE6 = (FIXTURES.parent / "tests" / "golden" / "case6.analyze.json").read_text(encoding="utf-8")
@@ -276,3 +277,49 @@ class TestStats:
         assert (code, err) == (0, "")
         rows = [line.split()[0] for line in out.splitlines() if line.split()[:1] and line.split()[0] in codes]
         assert rows == ["EN", "L01", "L1", "L\u0662", "L3", "L10", long_code]
+
+
+def _large_text(fmt: str) -> bytes:
+    """More than 64 KiB of CRLF text: a 3-byte character straddles bytes 8192 and 65536,
+    with runs of blank lines in between and trailing blank lines at the end."""
+    token = "w{}\tEN\r\n" if fmt == "column" else "w{}/EN x/HI\r\n"
+    straddle = "{}\u0915\tHI\r\n" if fmt == "column" else "{}\u0915/HI y/EN\r\n"
+    data = b""
+    for boundary in (8192, 65536):
+        while len(data) < boundary - 200:
+            data += token.format(len(data)).encode()
+            if len(data) % 7 == 0:
+                data += b"\r\n\r\n\r\n"  # empty sentences in column, empty lines in inline
+        pad = boundary - 1 - len(data)  # the character starts one byte before the boundary
+        data += straddle.format("p" * pad).encode()
+    while len(data) < 70_000:
+        data += token.format(len(data)).encode()
+    return data + b"\r\n\r\n\r\n\r\n"
+
+
+class TestLargeInput:
+    @pytest.mark.parametrize("fmt", ["column", "inline"])
+    def test_stdout_and_warning_equal_the_library_on_the_decoded_text(self, capsys, caplog, tmp_path, fmt):
+        data = _large_text(fmt)
+        for boundary in (8192, 65536):
+            assert data[boundary - 1 : boundary + 2].decode() == "\u0915"
+        path = tmp_path / "large.txt"
+        path.write_bytes(data)
+        caplog.clear()
+        code, out, _ = run(capsys, "analyze", str(path), "--format", fmt, "--per-sentence")
+        cli_warnings = caplog.messages
+        assert code == 0 and cli_warnings and "skipped" in cli_warnings[0]
+        caplog.clear()
+        parser = parse_inline_format if fmt == "inline" else parse_column_format
+        report = aggregate(parser(data.decode("utf-8"), name="large"))
+        assert out == render_report_json(report, DEFAULT_CONFIG, per_sentence=True)
+        assert caplog.messages == cli_warnings
+
+    def test_undecodable_byte_past_64_kib_gives_the_file_offset(self, capsys, monkeypatch, tmp_path):
+        data = b"ok\tEN\n" * 20_000 + b"caf\xe9\tEN\n"
+        reason = "'utf-8' codec can't decode byte 0xe9 in position 120003: invalid continuation byte"
+        path = tmp_path / "late.tags"
+        path.write_bytes(data)
+        assert run(capsys, "stats", str(path)) == (1, "", f"error: {path}: {reason}\n")
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        assert run(capsys, "stats", "-") == (1, "", f"error: -: {reason}\n")
