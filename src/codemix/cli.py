@@ -13,23 +13,26 @@ All output is UTF-8 and byte-stable for fixed inputs and flags.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import sys
 from pathlib import Path
 
-from .corpus_io import TagPolicy, UnknownTagAction, _scan_column, _scan_inline, _Tags
-from .metrics import DEFAULT_CONFIG, MetricConfig, _count_tags
+from .corpus_io import TagPolicy, UnknownTagAction, _read_lines, _scan_column, _scan_inline, _Tags
+from .metrics import DEFAULT_CONFIG, MetricConfig, SentenceCounts, SentenceMetrics, _count_tags
 from .render import (
+    _CSV_HEADER,
+    _csv_row,
+    _json_row,
+    _report_json_pieces,
     render_comparison_csv,
     render_comparison_json,
     render_distribution_table,
-    render_per_sentence_csv,
-    render_report_json,
     render_scatter_csv,
     render_scatter_svg,
     render_summary_table,
 )
-from .stats import INDEX_NAMES, CorpusReport, _fold, compare, scatter_data
+from .stats import INDEX_NAMES, CorpusReport, _fold, _Keep, compare
 from .synth import Arrangement, GenSpec, _column_text
 
 
@@ -63,18 +66,22 @@ def _parse_weights(raw: str) -> MetricConfig:
         raise ValueError(f"invalid weights {raw!r}: {exc}") from None
 
 
-def _report(path: str, args: argparse.Namespace, config: MetricConfig = DEFAULT_CONFIG) -> CorpusReport:
-    """Read, scan, count and fold one corpus (`-` is stdin); every failure names the file.
+def _report(
+    path: str, args: argparse.Namespace, config: MetricConfig = DEFAULT_CONFIG, keep: _Keep | None = None
+) -> tuple[CorpusReport, list]:
+    """Read, scan, count and fold one corpus (`-` is stdin) a line at a time; every failure names the file.
 
-    The report is aggregate(parse_*_format(text)) without building a token.
+    The report is aggregate(parse_*_format(text)) without per_sentence and
+    without building a token; keep(index, counts, metrics) of each sentence
+    comes with it, if keep is given.
     """
     scan = _scan_inline if args.format == "inline" else _scan_column
     name = Path(path).stem
     try:
         tags = _Tags(_build_policy(args))
-        data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
-        text = data.decode("utf-8-sig")  # from bytes, so a CR inside a line reaches the scanner
-        return _fold(name, (_count_tags(sentence) for _, sentence in scan(text, tags, name)), config)
+        with contextlib.nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as binary:
+            counts = (_count_tags(sentence) for _, sentence in scan(_read_lines(binary), tags, name))
+            return _fold(name, counts, config, keep)
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror or exc}") from exc
     except ValueError as exc:  # a bad policy flag, undecodable bytes, a ParseError or an empty corpus
@@ -86,16 +93,19 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         config = _parse_weights(args.weights)
     except ValueError as exc:
         raise CliError(f"{args.file}: {exc}") from exc
-    report = _report(args.file, args, config)
     if args.out == "csv":
-        sys.stdout.write(render_per_sentence_csv(report))
+        _, rows = _report(args.file, args, config, _csv_row)
+        sys.stdout.write(_CSV_HEADER)
+        sys.stdout.writelines(rows)
     else:
-        sys.stdout.write(render_report_json(report, config, per_sentence=args.per_sentence))
+        keep = _json_row if args.per_sentence else None
+        report, rows = _report(args.file, args, config, keep)
+        sys.stdout.writelines(_report_json_pieces(report, config, rows if keep else None))
     return 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    report = _report(args.file, args)
+    report, _ = _report(args.file, args)
     sys.stdout.write(f"corpus: {report.corpus_name or args.file}\n")
     sys.stdout.write(f"sentences: {report.sentence_count}  tokens: {report.token_count}\n")
     sys.stdout.write(f"CMI all: {report.cmi_all:.2f}  CMI mixed: {report.cmi_mixed:.2f}\n\n")
@@ -108,7 +118,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     if args.file_a == args.file_b == "-":
         raise CliError("-: standard input can be read only once")
-    comparison = compare(_report(args.file_a, args), _report(args.file_b, args))
+    comparison = compare(_report(args.file_a, args)[0], _report(args.file_b, args)[0])
     if args.out == "csv":
         sys.stdout.write(render_comparison_csv(comparison))
     else:
@@ -117,7 +127,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
-    pairs = scatter_data(_report(args.file, args), args.index)
+    def pair(_: int, counts: SentenceCounts, metrics: SentenceMetrics) -> tuple[int, float]:
+        return counts.total_tokens, getattr(metrics, args.index)
+
+    _, pairs = _report(args.file, args, keep=pair)
     target, render = (args.svg, render_scatter_svg) if args.svg else (args.csv, render_scatter_csv)
     try:
         Path(target).write_text(render(pairs, args.index), encoding="utf-8")

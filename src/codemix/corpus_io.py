@@ -15,10 +15,12 @@ then parsing reproduces an equal corpus (name and registry excluded).
 
 from __future__ import annotations
 
+import codecs
 import enum
+import itertools
 import logging
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 from .model import Corpus, LanguageTag, Sentence, Token, UndefinedReason
 
@@ -117,29 +119,74 @@ class _Tags(dict):
         return tag
 
 
-def _lines(text: str) -> list[str]:
-    """Lines without their CR, trailing blank lines dropped."""
-    lines = text.split("\n")
-    if "\r" in text:
-        lines = [line.rstrip("\r") for line in lines]
-    while lines and not lines[-1]:
-        lines.pop()
-    return lines
-
-
 _Scan = Iterator[tuple[list[str], list[LanguageTag]]]
 
 
-def _scan_column(text: str, tags: _Tags, name: str) -> _Scan:
-    """The surfaces and tags of each COLUMN sentence; every check of the format happens here."""
+# Bytes per read: a chunk's lines are all held at once, so it is small.
+_READ_SIZE = 2048
+
+
+def _read_lines(binary: BinaryIO) -> Iterator[str]:
+    """The lines of a UTF-8 byte stream, read a chunk at a time, as text.split("\n") gives them.
+
+    A leading BOM is dropped. An undecodable byte raises ValueError with its
+    offset in the stream, after every complete line before it.
+    """
+    return itertools.chain.from_iterable(_line_chunks(binary))
+
+
+def _line_chunks(binary: BinaryIO) -> Iterator[list[str]]:
+    """_read_lines a chunk at a time."""
+    decoder = codecs.getincrementaldecoder("utf-8-sig")()
+    offset = 0
+    head: list[str] = []  # the start of a line that no LF has ended yet
+    final = False
+    while not final:
+        chunk = binary.read(_READ_SIZE)
+        final = not chunk
+        offset += len(chunk)
+        try:
+            lines = decoder.decode(chunk, final).split("\n")
+        except UnicodeDecodeError as exc:  # exc.object ends where this chunk ends
+            yield "".join([*head, exc.object[: exc.start].decode("utf-8")]).split("\n")[:-1]
+            raise ValueError(_decode_error(exc, offset - len(exc.object))) from None
+        if len(lines) > 1:
+            head.append(lines[0])
+            lines[0] = "".join(head)
+            head.clear()
+        head.append(lines.pop())
+        yield lines
+    yield ["".join(head)]
+
+
+def _decode_error(exc: UnicodeDecodeError, base: int) -> str:
+    """str(exc) with positions counted from the start of the stream; exc.object starts base bytes in."""
+    start, end = base + exc.start, base + exc.end
+    if end - start == 1:
+        where = f"byte 0x{exc.object[exc.start]:02x} in position {start}"
+    else:
+        where = f"bytes in position {start}-{end - 1}"
+    return f"'{exc.encoding}' codec can't decode {where}: {exc.reason}"
+
+
+def _scan_column(lines: Iterable[str], tags: _Tags, name: str) -> _Scan:
+    """The surfaces and tags of each COLUMN sentence; every check of the format happens here.
+
+    Only LF ends a line, and a line's trailing CRs are dropped. Blank lines
+    after the last sentence are neither sentences nor skipped.
+    """
     skipped = 0
+    closed_at = lineno = 0  # the blank line that closed the last sentence, and the last line
     surfaces: list[str] = []
     sentence: list[LanguageTag] = []
-    for lineno, line in enumerate(_lines(text), start=1):
+    for lineno, line in enumerate(lines, start=1):
+        if "\r" in line:
+            line = line.rstrip("\r")
         if not line:
             if sentence:
                 yield surfaces, sentence
                 surfaces, sentence = [], []
+                closed_at = lineno
             else:
                 skipped += 1
             continue
@@ -158,14 +205,22 @@ def _scan_column(text: str, tags: _Tags, name: str) -> _Scan:
         surfaces.append(surface)
     if sentence:
         yield surfaces, sentence
+    else:
+        skipped -= lineno - closed_at  # every line after closed_at is blank, and was counted
     if skipped:  # logged once the text is exhausted, so never before a ParseError
         logger.warning("%s: skipped %d empty sentence(s)", name or "<column stream>", skipped)
 
 
-def _scan_inline(text: str, tags: _Tags, name: str) -> _Scan:
-    """The surfaces and tags of each INLINE sentence; every check of the format happens here."""
+def _scan_inline(lines: Iterable[str], tags: _Tags, name: str) -> _Scan:
+    """The surfaces and tags of each INLINE sentence; every check of the format happens here.
+
+    Lines end as in _scan_column, and blank lines after the last sentence are not skipped sentences.
+    """
     skipped = 0
-    for lineno, line in enumerate(_lines(text), start=1):
+    last = lineno = 0  # the last sentence's line, and the last line
+    for lineno, line in enumerate(lines, start=1):
+        if "\r" in line:
+            line = line.rstrip("\r")
         if not line:
             skipped += 1
             continue
@@ -185,16 +240,18 @@ def _scan_inline(text: str, tags: _Tags, name: str) -> _Scan:
             except ValueError as exc:
                 raise ParseError(lineno, f"token {position}: {exc}") from exc
             surfaces.append(surface)
+        last = lineno
         yield surfaces, sentence
+    skipped -= lineno - last  # every line after the last sentence is blank, and was counted
     if skipped:
         logger.warning("%s: skipped %d empty sentence(s)", name or "<inline stream>", skipped)
 
 
-def _corpus(scan: Callable[[str, _Tags, str], _Scan], text: str, policy: TagPolicy, name: str) -> Corpus:
+def _corpus(scan: Callable[[Iterable[str], _Tags, str], _Scan], text: str, policy: TagPolicy, name: str) -> Corpus:
     tags = _Tags(policy)
     sentences = tuple(
         Sentence(index=index, tokens=tuple(map(Token, surfaces, sentence)))
-        for index, (surfaces, sentence) in enumerate(scan(text, tags, name))
+        for index, (surfaces, sentence) in enumerate(scan(text.split("\n"), tags, name))
     )
     seen = {tag.code for tag in tags.values() if tag.is_language}
     return Corpus(name=name, sentences=sentences, tag_registry=policy.language_codes | seen)

@@ -11,15 +11,15 @@ import json
 import math
 from typing import Iterator
 
-from .metrics import MetricConfig
-from .stats import CorpusComparison, CorpusReport, SentenceRecord
+from .metrics import MetricConfig, SentenceCounts, SentenceMetrics
+from .stats import CorpusComparison, CorpusReport
 
 # The per-sentence CSV contract: exactly these columns, in this order.
 PER_SENTENCE_COLUMNS = ("index", "W", "u", "N", "S", "LF", "SF", "MF", "CMI", "CF1", "CF2", "CF3")
+_CSV_HEADER = ",".join(PER_SENTENCE_COLUMNS) + "\n"
 
 
-def _sentence_values(record: SentenceRecord) -> tuple[float, ...]:
-    m = record.metrics
+def _sentence_values(m: SentenceMetrics) -> tuple[float, ...]:
     return (m.language_factor, m.switching_factor, m.mix_factor, m.cmi, m.cf1, m.cf2, m.cf3)
 
 
@@ -53,28 +53,32 @@ _ROW = """\
     }}"""
 
 
-def _per_sentence_rows(report: CorpusReport) -> Iterator[str]:
-    """The "per_sentence" JSON rows of a report, one string per sentence, in order."""
-    for record in report.per_sentence:
-        values = _sentence_values(record)
-        if not math.isfinite(sum(values)):  # one test per row; finite values may sum to inf
-            for name, value in zip(PER_SENTENCE_COLUMNS[5:], values):
-                if not math.isfinite(value):
-                    raise ValueError(f"sentence {record.index}: {name} is {value!r}, which JSON cannot hold")
-        counts = record.counts
-        yield _ROW.format(
-            record.index,
-            counts.total_tokens,
-            counts.undefined_tokens,
-            counts.language_count,
-            counts.switch_count,
-            *[round(value, 2) for value in values],
-            *values,
-        )
+def _json_row(index: int, counts: SentenceCounts, metrics: SentenceMetrics) -> str:
+    """One sentence's "per_sentence" JSON row."""
+    values = _sentence_values(metrics)
+    if not math.isfinite(sum(values)):  # one test per row; finite values may sum to inf
+        for name, value in zip(PER_SENTENCE_COLUMNS[5:], values):
+            if not math.isfinite(value):
+                raise ValueError(f"sentence {index}: {name} is {value!r}, which JSON cannot hold")
+    return _ROW.format(
+        index,
+        counts.total_tokens,
+        counts.undefined_tokens,
+        counts.language_count,
+        counts.switch_count,
+        *[round(value, 2) for value in values],
+        *values,
+    )
 
 
 def render_report_json(report: CorpusReport, config: MetricConfig, per_sentence: bool = False) -> str:
     """The report as JSON in json.dumps(indent=2) layout; a non-finite value raises ValueError."""
+    rows = [_json_row(r.index, r.counts, r.metrics) for r in report.per_sentence] if per_sentence else None
+    return "".join(_report_json_pieces(report, config, rows))
+
+
+def _report_json_pieces(report: CorpusReport, config: MetricConfig, rows: list[str] | None) -> Iterator[str]:
+    """render_report_json in pieces, with rows from _json_row as "per_sentence" unless rows is None."""
     payload: dict = {
         "corpus": report.corpus_name,
         "sentences": report.sentence_count,
@@ -105,28 +109,34 @@ def render_report_json(report: CorpusReport, config: MetricConfig, per_sentence:
         "raw": {"cmi_all": report.cmi_all, "cmi_mixed": report.cmi_mixed},
     }
     header = json.dumps(payload, indent=2, allow_nan=False)
-    if not per_sentence:
-        return header + "\n"
-    rows = ",\n".join(_per_sentence_rows(report))
-    listing = f"[\n{rows}\n  ]" if rows else "[]"
+    if rows is None:
+        yield header + "\n"
+        return
     # The rows go in before the header's closing "\n}", where json puts a last key.
-    return f'{header[:-2]},\n  "per_sentence": {listing}\n}}\n'
+    yield f'{header[:-2]},\n  "per_sentence": ['
+    separator = "\n"
+    for row in rows:
+        yield separator
+        yield row
+        separator = ",\n"
+    yield "\n  ]\n}\n" if rows else "]\n}\n"
+
+
+def _csv_row(index: int, counts: SentenceCounts, metrics: SentenceMetrics) -> str:
+    """One sentence's line of the per-sentence CSV."""
+    cells = [
+        str(index),
+        str(counts.total_tokens),
+        str(counts.undefined_tokens),
+        str(counts.language_count),
+        str(counts.switch_count),
+    ]
+    cells.extend(f"{value:.2f}" for value in _sentence_values(metrics))
+    return ",".join(cells) + "\n"
 
 
 def render_per_sentence_csv(report: CorpusReport) -> str:
-    lines = [",".join(PER_SENTENCE_COLUMNS)]
-    for record in report.per_sentence:
-        counts = record.counts
-        cells = [
-            str(record.index),
-            str(counts.total_tokens),
-            str(counts.undefined_tokens),
-            str(counts.language_count),
-            str(counts.switch_count),
-        ]
-        cells.extend(f"{value:.2f}" for value in _sentence_values(record))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return _CSV_HEADER + "".join([_csv_row(r.index, r.counts, r.metrics) for r in report.per_sentence])
 
 
 def render_comparison_json(comparison: CorpusComparison) -> str:
@@ -145,7 +155,7 @@ def render_comparison_json(comparison: CorpusComparison) -> str:
             for row in comparison.rows
         ],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def render_comparison_csv(comparison: CorpusComparison) -> str:

@@ -4,10 +4,11 @@ corpus means (CMI-all / CMI-mixed), scatter data and corpus comparison.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import re
 from dataclasses import dataclass
-from statistics import fmean
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 from .metrics import (
     DEFAULT_CONFIG,
@@ -18,6 +19,8 @@ from .metrics import (
     metrics_from_counts,
 )
 from .model import Corpus
+
+T = TypeVar("T")
 
 INDEPENDENT_LABEL = "Language Independent"
 
@@ -102,47 +105,10 @@ def _registry_sort_key(code: str) -> tuple[str, int, str, str]:
     return code, -1, "", code
 
 
-def _distribution(counts: Iterable[SentenceCounts]) -> tuple[LanguageDistributionRow, ...]:
-    """language_distribution folded from per-sentence counts, without a token walk."""
-    word_counts: dict[str, int] = {}
-    sentence_counts: dict[str, int] = {}
-    independent_words = 0
-    independent_sentences = 0
-    total_tokens = 0
-    for sentence in counts:
-        total_tokens += sentence.total_tokens
-        for code, words in sentence.per_language.items():
-            word_counts[code] = word_counts.get(code, 0) + words
-            sentence_counts[code] = sentence_counts.get(code, 0) + 1
-        if sentence.undefined_tokens:
-            independent_words += sentence.undefined_tokens
-            independent_sentences += 1
-    rows = [
-        LanguageDistributionRow(
-            language=code,
-            sentence_count=sentence_counts[code],
-            word_count=word_counts[code],
-            percentage=100.0 * word_counts[code] / total_tokens,
-        )
-        for code in sorted(word_counts, key=_registry_sort_key)
-    ]
-    rows.append(
-        LanguageDistributionRow(
-            language=INDEPENDENT_LABEL,
-            sentence_count=independent_sentences,
-            word_count=independent_words,
-            percentage=100.0 * independent_words / total_tokens,
-        )
-    )
-    return tuple(rows)
-
-
 def language_distribution(corpus: Corpus) -> tuple[LanguageDistributionRow, ...]:
     """Per-language sentence/word counts and percentages, plus one
     language-independent row (always present, possibly zero)."""
-    if not corpus.sentences:
-        raise ValueError("empty corpus")
-    return _distribution(count_sentence(sentence) for sentence in corpus.sentences)
+    return _fold(corpus.name, map(count_sentence, corpus.sentences), DEFAULT_CONFIG)[0].distribution
 
 
 def aggregate(corpus: Corpus, config: MetricConfig = DEFAULT_CONFIG) -> CorpusReport:
@@ -151,30 +117,102 @@ def aggregate(corpus: Corpus, config: MetricConfig = DEFAULT_CONFIG) -> CorpusRe
     The result is independent of evaluation order; only the per_sentence
     listing reflects the corpus ordering.
     """
-    return _fold(corpus.name, map(count_sentence, corpus.sentences), config)
+    report, records = _fold(corpus.name, map(count_sentence, corpus.sentences), config, SentenceRecord)
+    return dataclasses.replace(report, per_sentence=tuple(records))
 
 
-def _fold(name: str, counts: Iterable[SentenceCounts], config: MetricConfig) -> CorpusReport:
-    """The corpus report of a name and its sentences' counts, in corpus order."""
-    records = tuple(
-        SentenceRecord(index=index, counts=sentence, metrics=metrics_from_counts(sentence, config))
-        for index, sentence in enumerate(counts)
-    )
-    if not records:
+_Keep = Callable[[int, SentenceCounts, SentenceMetrics], T]
+
+# Summary values are buffered until there are this many, then folded into each
+# index's min, max and a few floats holding its exact sum. The buffer is a list of
+# the metrics' own float objects, so folding it creates no float.
+_CHUNK = 4096
+
+
+def _fold(
+    name: str, counts: Iterable[SentenceCounts], config: MetricConfig, keep: _Keep | None = None
+) -> tuple[CorpusReport, list[T]]:
+    """The corpus report of a name and its sentences' counts, in corpus order, without per_sentence.
+
+    The fold holds nothing per sentence but what keep(index, counts, metrics)
+    returns for it, if keep is given; those results come back in order.
+    """
+    kept: list[T] = []
+    word_counts: dict[str, int] = {}
+    sentence_counts: dict[str, int] = {}
+    independent_words = independent_sentences = tokens = 0
+    width = len(SUMMARY_INDICES)
+    values: list[float] = []  # the last sentences' summary values, one row each, in SUMMARY_INDICES order
+    low, high = [math.inf] * width, [-math.inf] * width
+    sums: list[list[float]] = [[] for _ in SUMMARY_INDICES]
+    mixed = 0  # sentences with CMI > 0
+    index = -1
+    for index, sentence in enumerate(counts):
+        metrics = metrics_from_counts(sentence, config)
+        values.extend((metrics.cmi, metrics.cf1, metrics.cf2, metrics.cf3, float(sentence.total_tokens)))
+        tokens += sentence.total_tokens
+        for code, words in sentence.per_language.items():
+            word_counts[code] = word_counts.get(code, 0) + words
+            sentence_counts[code] = sentence_counts.get(code, 0) + 1
+        if sentence.undefined_tokens:
+            independent_words += sentence.undefined_tokens
+            independent_sentences += 1
+        if keep is not None:
+            kept.append(keep(index, sentence, metrics))
+        if len(values) >= _CHUNK:
+            mixed += _compress(values, low, high, sums)
+    sentences = index + 1
+    if not sentences:
         raise ValueError("empty corpus")
-    columns = {index_name: [getattr(r.metrics, index_name) for r in records] for index_name in INDEX_NAMES}
-    columns[WORDS_PER_SENTENCE] = [float(r.counts.total_tokens) for r in records]
-    mixed = [v for v in columns["cmi"] if v > 0]
-    return CorpusReport(
-        corpus_name=name,
-        sentence_count=len(records),
-        token_count=sum(r.counts.total_tokens for r in records),
-        distribution=_distribution(r.counts for r in records),
-        summary=tuple(IndexSummaryRow(i, min(values), max(values), fmean(values)) for i, values in columns.items()),
-        cmi_all=fmean(columns["cmi"]),
-        cmi_mixed=fmean(mixed) if mixed else 0.0,
-        per_sentence=records,
+    if values:
+        mixed += _compress(values, low, high, sums)
+    distribution = [
+        LanguageDistributionRow(code, sentence_counts[code], word_counts[code], 100.0 * word_counts[code] / tokens)
+        for code in sorted(word_counts, key=_registry_sort_key)
+    ]
+    distribution.append(
+        LanguageDistributionRow(
+            INDEPENDENT_LABEL, independent_sentences, independent_words, 100.0 * independent_words / tokens
+        )
     )
+    # fsum of the parts is fsum of the values they replaced, so each mean is statistics.fmean's.
+    totals = [math.fsum(parts) for parts in sums]
+    means = [total / sentences for total in totals]
+    report = CorpusReport(
+        corpus_name=name,
+        sentence_count=sentences,
+        token_count=tokens,
+        distribution=tuple(distribution),
+        summary=tuple(map(IndexSummaryRow, SUMMARY_INDICES, low, high, means)),
+        cmi_all=means[0],
+        cmi_mixed=totals[0] / mixed if mixed else 0.0,  # CMI >= 0, so its zeros add nothing to the total
+        per_sentence=(),
+    )
+    return report, kept
+
+
+def _compress(values: list[float], low: list[float], high: list[float], sums: list[list[float]]) -> int:
+    """Folds rows of summary values into each column's min, max and exact-sum parts, and empties values.
+
+    Returns how many rows have a CMI, their first value, above 0.
+    """
+    width = len(low)
+    for column_index in range(width):
+        column = values[column_index::width]
+        low[column_index] = min(low[column_index], min(column))
+        high[column_index] = max(high[column_index], max(column))
+        sums[column_index] = _exact_parts(sums[column_index] + column)
+    mixed = len(values) // width - values[::width].count(0.0)
+    values.clear()
+    return mixed
+
+
+def _exact_parts(values: list[float]) -> list[float]:
+    """A few floats whose exact sum is that of values, so math.fsum gives the same for both."""
+    parts: list[float] = []
+    while residual := math.fsum(values + [-part for part in parts]):
+        parts.append(residual)
+    return parts
 
 
 def scatter_data(report: CorpusReport, index_name: str) -> list[tuple[int, float]]:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import sys
+import tracemalloc
 
 import pytest
 
@@ -323,3 +324,25 @@ class TestLargeInput:
         assert run(capsys, "stats", str(path)) == (1, "", f"error: {path}: {reason}\n")
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
         assert run(capsys, "stats", "-") == (1, "", f"error: -: {reason}\n")
+
+
+class TestMemory:
+    def test_stats_and_compare_peaks_do_not_grow_with_the_corpus(self, capsys, tmp_path):
+        peaks = {}
+        for sentences in (1000, 8000):
+            path = tmp_path / f"corpus{sentences}.tags"
+            _, text, _ = run(capsys, "generate", "--sentences", str(sentences), "--words", "1", "--languages", "1",
+                             "--undefined-ratio", "0.3", "--seed", "5")
+            path.write_text(text, encoding="utf-8")
+            for argv in (["stats", str(path)], ["compare", str(path), str(path)]):
+                if not peaks:
+                    run(capsys, *argv)  # first-call caches are not the corpus's
+                tracemalloc.start()
+                try:
+                    code, _, _ = run(capsys, *argv)
+                    peaks[argv[0], sentences] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert code == 0
+        for command in ("stats", "compare"):
+            assert peaks[command, 8000] <= 1.25 * peaks[command, 1000], peaks

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import itertools
 import json
 import math
+import random
+from statistics import fmean
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -31,11 +33,20 @@ from codemix import (
     metrics_from_counts,
     parse_column_format,
     parse_inline_format,
+    scatter_data,
     write_corpus,
 )
-from codemix.cli import CliError, _report
+from codemix import cli
 from codemix.metrics import _arctan_divisor, _linear_divisor
-from codemix.render import render_per_sentence_csv, render_report_json
+from codemix.stats import _CHUNK, CorpusComparison, IndexComparison, _compress
+from codemix.render import (
+    render_comparison_json,
+    render_distribution_table,
+    render_per_sentence_csv,
+    render_report_json,
+    render_scatter_csv,
+    render_summary_table,
+)
 from conftest import make_corpus, make_sentence
 from naive_oracle import naive_metrics
 
@@ -259,30 +270,65 @@ def test_parsers_return_corpus_or_raise_parse_error(text, policy):
             pass
 
 
+def _stats_text(report: CorpusReport) -> str:
+    """What `codemix stats` prints for a report."""
+    return (
+        f"corpus: {report.corpus_name}\n"
+        f"sentences: {report.sentence_count}  tokens: {report.token_count}\n"
+        f"CMI all: {report.cmi_all:.2f}  CMI mixed: {report.cmi_mixed:.2f}\n\n"
+        + render_distribution_table(report)
+        + "\n"
+        + render_summary_table(report)
+    )
+
+
+# Each CLI command whose output the fuzz test checks, and that output rendered by the library.
+CLI_RENDERINGS = {
+    ("stats",): _stats_text,
+    ("analyze",): lambda report: render_report_json(report, DEFAULT_CONFIG),
+    ("analyze", "--per-sentence"): lambda report: render_report_json(report, DEFAULT_CONFIG, per_sentence=True),
+    ("analyze", "--out", "csv"): render_per_sentence_csv,
+    ("plot", "--index", "cf2", "--csv"): lambda report: render_scatter_csv(scatter_data(report, "cf2"), "cf2"),
+}
+
+
+PARSER = cli.build_parser()  # built once: building it costs more than a run on a fuzz text
+
+
 @settings(max_examples=1000, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(fuzz_text, st.sampled_from([None, "undefined"]))
-def test_cli_report_matches_library_report(tmp_path_factory, caplog, text, unknown):
-    path = tmp_path_factory.getbasetemp() / "fuzz.tags"
+def test_cli_report_matches_library_report(tmp_path_factory, capsys, caplog, text, unknown):
+    base = tmp_path_factory.getbasetemp()
+    path, target = base / "fuzz.tags", base / "fuzz.csv"
     path.write_bytes(text.encode("utf-8"))
     policy = TagPolicy(unknown_tag_action=UnknownTagAction(unknown or "error"))
     decoded = text.encode("utf-8").decode("utf-8-sig")  # as the CLI reads a file
-
-    def outcome(report_of):
-        caplog.clear()
-        try:
-            report = report_of()
-        except CliError as exc:
-            assert str(exc).startswith(f"{path}: ")
-            return type(exc.__cause__), str(exc).removeprefix(f"{path}: "), caplog.messages
-        except ValueError as exc:
-            return type(exc), str(exc), caplog.messages
-        rendered = render_report_json(report, DEFAULT_CONFIG, per_sentence=True), render_per_sentence_csv(report)
-        return report, rendered, caplog.messages
+    flags = ["--unknown", unknown] if unknown else []
 
     for fmt, parser in (("column", parse_column_format), ("inline", parse_inline_format)):
-        args = argparse.Namespace(format=fmt, language_codes=None, unknown=unknown)
-        cli_outcome = outcome(lambda: _report(str(path), args))
-        assert cli_outcome == outcome(lambda: aggregate(parser(decoded, policy, name="fuzz")))
+        caplog.clear()
+        try:
+            report = aggregate(parser(decoded, policy, name="fuzz"))
+        except ValueError as exc:
+            report, error = None, f"error: {path}: {exc}\n"
+        warnings = caplog.messages
+        for (command, *options), render in CLI_RENDERINGS.items():
+            writes_file = command == "plot"
+            caplog.clear()
+            target.unlink(missing_ok=True)
+            argv = [command, str(path), "--format", fmt, *flags, *options, *([str(target)] if writes_file else [])]
+            with mock.patch.object(cli, "build_parser", lambda: PARSER):
+                code = cli.main(argv)
+            out, err = capsys.readouterr()
+            assert caplog.messages == warnings
+            if report is None:
+                assert (code, out, err) == (1, "", error)
+                assert not target.exists()
+            elif writes_file:
+                assert (code, out, err) == (0, "", "")
+                assert target.read_text(encoding="utf-8") == render(report)
+            else:
+                assert (code, out, err) == (0, render(report), "")
 
 
 # Reports built by hand, beyond what the CLI can produce: names that JSON must
@@ -354,3 +400,35 @@ def test_report_json_rejects_non_finite_values(value):
     rendered = render_report_json(dataclasses.replace(report, per_sentence=(dataclasses.replace(first, metrics=huge),)),
                                   DEFAULT_CONFIG, per_sentence=True)
     assert '"CF2": 1e+308' in rendered
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_comparison_json_rejects_non_finite_values(value):
+    row = IndexComparison(index_name="cf2", mean_a=value, mean_b=1.0, delta=value, verdict="A")
+    with pytest.raises(ValueError, match="JSON compliant"):
+        render_comparison_json(CorpusComparison(corpus_a="a", corpus_b="b", rows=(row,)))
+
+
+# Values for the streamed summary: subnormals, signed zeros, 1/3 and magnitudes
+# up to 1e300, low enough that no sum of 9000 of them overflows.
+summary_floats = st.sampled_from([5e-324, -5e-324, 0.0, -0.0, 1 / 3, 1e300, -1e300]) | st.floats(-1e300, 1e300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK, 2 * _CHUNK + 1]) | st.integers(1, 9000),
+    st.lists(summary_floats, min_size=1, max_size=6),
+    st.integers(0, 2**32),
+)
+def test_streamed_summary_equals_fmean_min_max(length, pool, seed):
+    rng = random.Random(seed)
+    values = [rng.choice(pool) * (rng.random() if rng.random() < 0.5 else 1.0) for _ in range(length)]
+    low, high, sums, buffer = [math.inf], [-math.inf], [[]], []
+    for value in values:  # as stats._fold buffers one index
+        buffer.append(value)
+        if len(buffer) >= _CHUNK:
+            _compress(buffer, low, high, sums)
+    if buffer:
+        _compress(buffer, low, high, sums)
+    streamed = (low[0], high[0], math.fsum(sums[0]) / length)
+    assert [x.hex() for x in streamed] == [min(values).hex(), max(values).hex(), fmean(values).hex()]

@@ -1,17 +1,22 @@
 from __future__ import annotations
 
+from statistics import fmean
+
 import pytest
 
 from codemix import (
+    Arrangement,
     Corpus,
+    GenSpec,
     IndexSummaryRow,
     MetricConfig,
     aggregate,
     compare,
+    generate,
     language_distribution,
     scatter_data,
 )
-from codemix.stats import CorpusReport, INDEPENDENT_LABEL
+from codemix.stats import _CHUNK, INDEPENDENT_LABEL, SUMMARY_INDICES, CorpusReport
 from conftest import make_corpus
 
 
@@ -108,6 +113,19 @@ class TestAggregate:
         empty = Corpus(name="", sentences=(), tag_registry=frozenset())
         with pytest.raises(ValueError):
             aggregate(empty)
+
+    def test_summary_folded_in_chunks_equals_statistics_over_the_records(self):
+        report = aggregate(generate(GenSpec(3000, (3, 12), 3, Arrangement.RANDOM, 0.2, seed=11)))
+        assert report.sentence_count * len(SUMMARY_INDICES) > 3 * _CHUNK
+        for row in report.summary:
+            if row.index_name == "words_per_sentence":
+                values = [float(r.counts.total_tokens) for r in report.per_sentence]
+            else:
+                values = [getattr(r.metrics, row.index_name) for r in report.per_sentence]
+            assert (row.min, row.max, row.mean.hex()) == (min(values), max(values), fmean(values).hex())
+        cmi = [r.metrics.cmi for r in report.per_sentence]
+        assert report.cmi_all.hex() == fmean(cmi).hex()
+        assert report.cmi_mixed.hex() == fmean([v for v in cmi if v > 0]).hex()
 
 
 class TestScatterData:
