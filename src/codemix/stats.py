@@ -167,12 +167,20 @@ def _fold(
     if values:
         mixed += _compress(values, low, high, sums)
     distribution = [
-        LanguageDistributionRow(code, sentence_counts[code], word_counts[code], 100.0 * word_counts[code] / tokens)
+        LanguageDistributionRow(
+            language=code,
+            sentence_count=sentence_counts[code],
+            word_count=word_counts[code],
+            percentage=100.0 * word_counts[code] / tokens,
+        )
         for code in sorted(word_counts, key=_registry_sort_key)
     ]
     distribution.append(
         LanguageDistributionRow(
-            INDEPENDENT_LABEL, independent_sentences, independent_words, 100.0 * independent_words / tokens
+            language=INDEPENDENT_LABEL,
+            sentence_count=independent_sentences,
+            word_count=independent_words,
+            percentage=100.0 * independent_words / tokens,
         )
     )
     # fsum of the parts is fsum of the values they replaced, so each mean is statistics.fmean's.
