@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import codecs
 import dataclasses
+import io
 import itertools
 import json
 import math
@@ -36,7 +38,7 @@ from codemix import (
     scatter_data,
     write_corpus,
 )
-from codemix import cli
+from codemix import cli, corpus_io
 from codemix.metrics import _arctan_divisor, _linear_divisor
 from codemix.stats import _CHUNK, CorpusComparison, IndexComparison, _compress
 from codemix.render import (
@@ -329,6 +331,34 @@ def test_cli_report_matches_library_report(tmp_path_factory, capsys, caplog, tex
                 assert target.read_text(encoding="utf-8") == render(report)
             else:
                 assert (code, out, err) == (0, render(report), "")
+
+
+# Byte strings for the chunked reader: LFs, CRs and tabs, a BOM, a 3-byte
+# character, and bytes that are undecodable alone or only as a whole sequence.
+reader_bytes = st.lists(
+    st.sampled_from([b"a", b"\n", b"\r", b"\t", codecs.BOM_UTF8, "\u0915".encode(), b"\xe9", b"\xc3", b"\xa9",
+                     b"\xe0\xa4"]),
+    max_size=40,
+).map(b"".join)
+
+
+@settings(max_examples=500)
+@given(reader_bytes, st.integers(1, 9))
+def test_read_lines_equals_split_of_the_whole_decoded_text(data, read_size):
+    lines, error = [], None
+    with mock.patch.object(corpus_io, "_READ_SIZE", read_size):
+        try:
+            for line in corpus_io._read_lines(io.BytesIO(data)):
+                lines.append(line)
+        except ValueError as exc:
+            error = str(exc)
+    try:
+        data.decode("utf-8")  # positions counted from the first byte, BOM included
+    except UnicodeDecodeError as exc:
+        expected = data[: exc.start].decode("utf-8-sig").split("\n")[:-1], str(exc)
+    else:
+        expected = data.decode("utf-8-sig").split("\n"), None
+    assert (lines, error) == expected
 
 
 # Reports built by hand, beyond what the CLI can produce: names that JSON must
