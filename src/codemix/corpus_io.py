@@ -10,7 +10,7 @@ INLINE -- one sentence per line; tokens separated by single spaces; each
   may themselves contain slashes.
 
 Both formats are UTF-8 and carry no metadata beyond the tokens, so writing
-then parsing reproduces an equal corpus (name and registry excluded).
+then parsing reproduces an equal corpus (name excluded).
 """
 
 from __future__ import annotations
@@ -106,8 +106,7 @@ def normalize_tag(raw: str, policy: TagPolicy = DEFAULT_POLICY) -> LanguageTag:
 class _Tags(dict):
     """One LanguageTag per distinct raw tag under a policy, normalized on first sight.
 
-    A text therefore holds one tag object per raw tag, not one per token, and
-    the codes it uses are known without walking its tokens.
+    A text therefore holds one tag object per raw tag, not one per token.
     """
 
     def __init__(self, policy: TagPolicy):
@@ -122,7 +121,7 @@ class _Tags(dict):
 _Scan = Iterator[tuple[list[str], list[LanguageTag]]]
 
 
-# Bytes per read: a chunk's lines are all held at once, so it is small.
+# Bytes per read, before it runs on to a line end: a chunk's lines are all held at once.
 _READ_SIZE = 2048
 
 
@@ -136,27 +135,22 @@ def _read_lines(binary: BinaryIO) -> Iterator[str]:
 
 
 def _line_chunks(binary: BinaryIO) -> Iterator[list[str]]:
-    """_read_lines a chunk at a time."""
-    decoder = codecs.getincrementaldecoder("utf-8-sig")()
-    offset = 0
-    head: list[str] = []  # the start of a line that no LF has ended yet
-    final = False
-    while not final:
-        chunk = binary.read(_READ_SIZE)
-        final = not chunk
-        offset += len(chunk)
+    """_read_lines a chunk at a time; a chunk ends at an LF or the stream's end, so it decodes alone."""
+    chunk = binary.read(_READ_SIZE) + binary.readline()
+    offset = len(codecs.BOM_UTF8) if chunk.startswith(codecs.BOM_UTF8) else 0
+    chunk = chunk[offset:]
+    tail = ""  # after the last LF: empty unless the stream has ended
+    while chunk:
         try:
-            lines = decoder.decode(chunk, final).split("\n")
-        except UnicodeDecodeError as exc:  # exc.object ends where this chunk ends
-            yield "".join([*head, exc.object[: exc.start].decode("utf-8")]).split("\n")[:-1]
-            raise ValueError(_decode_error(exc, offset - len(exc.object))) from None
-        if len(lines) > 1:
-            head.append(lines[0])
-            lines[0] = "".join(head)
-            head.clear()
-        head.append(lines.pop())
+            lines = chunk.decode("utf-8").split("\n")
+        except UnicodeDecodeError as exc:
+            yield chunk[: exc.start].decode("utf-8").split("\n")[:-1]
+            raise ValueError(_decode_error(exc, offset)) from None
+        offset += len(chunk)
+        tail = lines.pop()
         yield lines
-    yield ["".join(head)]
+        chunk = binary.read(_READ_SIZE) + binary.readline()
+    yield [tail]
 
 
 def _decode_error(exc: UnicodeDecodeError, base: int) -> str:
@@ -253,8 +247,7 @@ def _corpus(scan: Callable[[Iterable[str], _Tags, str], _Scan], text: str, polic
         Sentence(index=index, tokens=tuple(map(Token, surfaces, sentence)))
         for index, (surfaces, sentence) in enumerate(scan(text.split("\n"), tags, name))
     )
-    seen = {tag.code for tag in tags.values() if tag.is_language}
-    return Corpus(name=name, sentences=sentences, tag_registry=policy.language_codes | seen)
+    return Corpus(name=name, sentences=sentences)
 
 
 def parse_column_format(text: str, policy: TagPolicy = DEFAULT_POLICY, name: str = "") -> Corpus:

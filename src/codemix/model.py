@@ -6,7 +6,7 @@ All types are immutable value objects; metrics and parsers never mutate them.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class UndefinedReason(enum.Enum):
@@ -102,25 +102,21 @@ class Sentence:
 
 @dataclass(frozen=True, eq=False)
 class Corpus:
-    """A named, ordered sentence collection plus the language codes it may use.
+    """A named, ordered sentence collection.
 
-    Equality compares sentences only: the name and registry are metadata that
-    the text formats do not carry, so they are excluded from round-trip identity.
+    Equality compares sentences only: the name is metadata that the text
+    formats do not carry, so it is excluded from round-trip identity. Token
+    codes are checked where tags are made, so no token is walked here.
     """
 
     name: str
     sentences: tuple[Sentence, ...]
-    tag_registry: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sentences", tuple(self.sentences))
-        object.__setattr__(self, "tag_registry", frozenset(self.tag_registry))
         for expected, sentence in enumerate(self.sentences):
             if sentence.index != expected:
                 raise ValueError(f"sentence indices must be contiguous from 0, got {sentence.index} at {expected}")
-            for token in sentence.tokens:
-                if token.tag.is_language and token.tag.code not in self.tag_registry:
-                    raise ValueError(f"language code {token.tag.code!r} not in tag registry")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Corpus):

@@ -14,7 +14,8 @@ The 1e-9 keeps a product such as 0.58 * 50 = 28.999999999999996 from losing
 an undefined token to rounding.
 
 generate() is parse_column_format of the COLUMN text `codemix generate`
-prints, named "synthetic", with registry L1..LN.
+prints, named "synthetic". Codes L<n> are languages under every TagPolicy,
+and UN an undefined alias, so the default policy reads that text.
 
 Randomness comes from xoshiro256** seeded with splitmix64, so the exact
 output stream is reproducible from the seed alone, independent of the host
@@ -26,7 +27,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .corpus_io import TagPolicy, parse_column_format
+from .corpus_io import parse_column_format
 from .model import Corpus
 
 _MASK64 = (1 << 64) - 1
@@ -148,5 +149,4 @@ def _column_text(spec: GenSpec) -> str:
 
 def generate(spec: GenSpec) -> Corpus:
     """The corpus a spec describes, parsed from its COLUMN text; deterministic for a fixed seed."""
-    policy = TagPolicy(language_codes=frozenset(f"L{i + 1}" for i in range(spec.language_count)))
-    return parse_column_format(_column_text(spec), policy, name="synthetic")
+    return parse_column_format(_column_text(spec), name="synthetic")

@@ -29,8 +29,7 @@ def sentence_codes(sentence: Sentence) -> list[str | None]:
 
 def make_corpus(tag_lists: list[list[str | None]], name: str = "test") -> Corpus:
     sentences = tuple(make_sentence(codes, index=i) for i, codes in enumerate(tag_lists))
-    registry = {c for codes in tag_lists for c in codes if c is not None}
-    return Corpus(name=name, sentences=sentences, tag_registry=frozenset(registry))
+    return Corpus(name=name, sentences=sentences)
 
 
 def enumerate_small(max_words: int, alphabet: Sequence[LanguageTag]) -> Iterator[Sentence]:

@@ -171,7 +171,7 @@ class TestWriting:
 
     def test_inline_rejects_space_in_surface(self):
         sentence = Sentence(index=0, tokens=(Token(surface="a b", tag=LanguageTag.language("EN")),))
-        corpus = Corpus(name="", sentences=(sentence,), tag_registry=frozenset({"EN"}))
+        corpus = Corpus(name="", sentences=(sentence,))
         write_corpus(corpus, CorpusFormat.COLUMN)  # fine: tab-separated
         with pytest.raises(ValueError):
             write_corpus(corpus, CorpusFormat.INLINE)
@@ -197,9 +197,4 @@ class TestModelValidation:
     def test_corpus_requires_contiguous_indices(self):
         good = make_corpus([["EN"], ["BN"]])
         with pytest.raises(ValueError):
-            Corpus(name="", sentences=(good.sentences[1],), tag_registry=good.tag_registry)
-
-    def test_corpus_rejects_unregistered_code(self):
-        good = make_corpus([["EN"]])
-        with pytest.raises(ValueError):
-            Corpus(name="", sentences=good.sentences, tag_registry=frozenset({"BN"}))
+            Corpus(name="", sentences=(good.sentences[1],))

@@ -187,7 +187,7 @@ def test_round_trip_identity_both_formats(sentence_specs):
             for s, code in token_specs
         )
         sentences.append(Sentence(index=i, tokens=tokens))
-    corpus = Corpus(name="prop", sentences=tuple(sentences), tag_registry=frozenset({"L1", "L2"}))
+    corpus = Corpus(name="prop", sentences=tuple(sentences))
     assert parse_column_format(write_corpus(corpus, CorpusFormat.COLUMN)) == corpus
     assert parse_inline_format(write_corpus(corpus, CorpusFormat.INLINE)) == corpus
 

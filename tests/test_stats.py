@@ -55,7 +55,7 @@ class TestLanguageDistribution:
         assert rows["BN"].sentence_count == 2
 
     def test_empty_corpus_rejected(self):
-        empty = Corpus(name="", sentences=(), tag_registry=frozenset())
+        empty = Corpus(name="", sentences=())
         with pytest.raises(ValueError):
             language_distribution(empty)
 
@@ -110,7 +110,7 @@ class TestAggregate:
         assert len(report.per_sentence) == 2
 
     def test_empty_corpus_rejected(self):
-        empty = Corpus(name="", sentences=(), tag_registry=frozenset())
+        empty = Corpus(name="", sentences=())
         with pytest.raises(ValueError):
             aggregate(empty)
 

@@ -126,7 +126,6 @@ def test_generate_cli_prints_the_generated_corpus(capsys, spec):
     assert main(argv) == 0
     corpus = generate(spec)
     assert capsys.readouterr().out == write_corpus(corpus, CorpusFormat.COLUMN)
-    assert corpus.tag_registry == {f"L{i}" for i in range(1, spec.language_count + 1)}
     assert corpus.name == "synthetic"
 
 
