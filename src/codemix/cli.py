@@ -86,6 +86,8 @@ def _report(
         raise CliError(f"{path}: {exc.strerror or exc}") from exc
     except ValueError as exc:  # a bad policy flag, undecodable bytes, a ParseError or an empty corpus
         raise CliError(f"{path}: {exc}") from exc
+    except OverflowError as exc:  # finite indices, under huge --weights, whose corpus sum is not
+        raise CliError(f"{path}: the corpus sum of an index overflows: {exc}") from exc
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:

@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from codemix import DEFAULT_CONFIG, aggregate, parse_column_format, parse_inline_format
+from codemix import DEFAULT_CONFIG, MetricConfig, aggregate, parse_column_format, parse_inline_format
 from codemix.cli import main
 from codemix.render import render_report_json
 from conftest import FIXTURES
@@ -102,6 +102,17 @@ class TestAnalyze:
             code, out, err = run(capsys, "analyze", str(FIXTURES / "case6.tags"), "--weights", weights)
             assert code == 1 and out == ""
             assert "weights" in err and "case6.tags" in err
+
+    def test_overflowing_index_sum_is_one_error_line(self, capsys, tmp_path):
+        text = "a\tEN\nb\tHI\n\n" * 4
+        src = tmp_path / "four.tags"
+        src.write_text(text, encoding="utf-8")
+        reason = "the corpus sum of an index overflows: intermediate overflow in fsum"
+        for options in ([], ["--per-sentence"], ["--out", "csv"]):
+            argv = ["analyze", str(src), "--weights", "1e308,1e307", *options]
+            assert run(capsys, *argv) == (1, "", f"error: {src}: {reason}\n")
+        with pytest.raises(OverflowError):
+            aggregate(parse_column_format(text), MetricConfig(mix_weight=1e308, switch_weight=1e307))
 
     def test_csv_columns_exact(self, capsys):
         code, out, _ = run(capsys, "analyze", str(FIXTURES / "cases_text.tags"), "--out", "csv")
