@@ -10,7 +10,8 @@ INLINE -- one sentence per line; tokens separated by single spaces; each
   may themselves contain slashes.
 
 Both formats are UTF-8 and carry no metadata beyond the tokens, so writing
-then parsing reproduces an equal corpus (name excluded).
+then parsing reproduces an equal corpus (name excluded) under a policy that
+registers every language code in it; L<n> codes need no registration.
 """
 
 from __future__ import annotations
@@ -243,10 +244,8 @@ def _scan_inline(lines: Iterable[str], tags: _Tags, name: str) -> _Scan:
 
 def _corpus(scan: Callable[[Iterable[str], _Tags, str], _Scan], text: str, policy: TagPolicy, name: str) -> Corpus:
     tags = _Tags(policy)
-    sentences = tuple(
-        Sentence(index=index, tokens=tuple(map(Token, surfaces, sentence)))
-        for index, (surfaces, sentence) in enumerate(scan(text.split("\n"), tags, name))
-    )
+    scanned = scan(text.split("\n"), tags, name)
+    sentences = tuple(Sentence(tuple(map(Token, surfaces, sentence))) for surfaces, sentence in scanned)
     return Corpus(name=name, sentences=sentences)
 
 
@@ -269,7 +268,10 @@ def _tag_text(tag: LanguageTag) -> str:
 
 
 def write_corpus(corpus: Corpus, fmt: CorpusFormat = CorpusFormat.COLUMN) -> str:
-    """Serialize a corpus; parse(write(c)) == c for both formats."""
+    """Serialize a corpus; parse(write(c), policy) == c for both formats if policy registers c's codes.
+
+    Under the default policy, a code outside DEFAULT_LANGUAGES that is not L<n> raises ParseError.
+    """
     if fmt is CorpusFormat.COLUMN:
         parts = []
         for sentence in corpus.sentences:

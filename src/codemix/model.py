@@ -6,7 +6,7 @@ All types are immutable value objects; metrics and parsers never mutate them.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class UndefinedReason(enum.Enum):
@@ -19,16 +19,16 @@ class UndefinedReason(enum.Enum):
     OTHER = "OTHER"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LanguageTag:
     """A token's language assignment: either a language code or Undefined.
 
-    Two tags compare equal iff both are Undefined or both carry the same code;
-    the undefined reason is informational and does not affect equality.
+    Two tags are equal, and hash alike, iff both are Undefined or both carry
+    the same code; the undefined reason is informational and is not compared.
     """
 
     code: str | None
-    reason: UndefinedReason | None = None
+    reason: UndefinedReason | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.code is None:
@@ -56,14 +56,6 @@ class LanguageTag:
     def is_undefined(self) -> bool:
         return self.code is None
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LanguageTag):
-            return NotImplemented
-        return self.code == other.code
-
-    def __hash__(self) -> int:
-        return hash(self.code)
-
     def __repr__(self) -> str:
         if self.is_language:
             return f"LanguageTag({self.code})"
@@ -86,9 +78,12 @@ class Token:
 
 @dataclass(frozen=True)
 class Sentence:
-    """An ordered, non-empty token sequence; the unit all indices are defined over."""
+    """An ordered, non-empty token sequence; the unit all indices are defined over.
 
-    index: int
+    A sentence is its tokens alone: its position belongs to the corpus that
+    holds it, so one sentence can be analysed on its own.
+    """
+
     tokens: tuple[Token, ...]
 
     def __post_init__(self) -> None:
@@ -100,28 +95,20 @@ class Sentence:
         return len(self.tokens)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Corpus:
-    """A named, ordered sentence collection.
+    """A named, ordered sentence collection; a sentence's position is its place in the tuple.
 
-    Equality compares sentences only: the name is metadata that the text
-    formats do not carry, so it is excluded from round-trip identity. Token
-    codes are checked where tags are made, so no token is walked here.
+    Equality and hash compare sentences only: the name is metadata that the
+    text formats do not carry, so it is excluded from round-trip identity.
+    Sentences and tokens are checked where they are made, so none is walked here.
     """
 
-    name: str
+    name: str = field(compare=False)
     sentences: tuple[Sentence, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sentences", tuple(self.sentences))
-        for expected, sentence in enumerate(self.sentences):
-            if sentence.index != expected:
-                raise ValueError(f"sentence indices must be contiguous from 0, got {sentence.index} at {expected}")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Corpus):
-            return NotImplemented
-        return self.sentences == other.sentences
 
     def __len__(self) -> int:
         return len(self.sentences)

@@ -14,13 +14,16 @@ sys.path.insert(0, str(Path(__file__).parent))  # makes naive_oracle importable
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
-def make_sentence(codes: list[str | None], index: int = 0) -> Sentence:
-    """Sentence from a plain tag list; None means an undefined (UN) token."""
+def make_sentence(codes: list[str | None]) -> Sentence:
+    """Sentence from a plain tag list; None means an undefined (UN) token.
+
+    Its position is not part of it: a corpus gives each sentence its place.
+    """
     tokens = []
     for i, code in enumerate(codes):
         tag = LanguageTag.undefined(UndefinedReason.UNIVERSAL) if code is None else LanguageTag.language(code)
         tokens.append(Token(surface=f"w{i}", tag=tag))
-    return Sentence(index=index, tokens=tuple(tokens))
+    return Sentence(tokens=tuple(tokens))
 
 
 def sentence_codes(sentence: Sentence) -> list[str | None]:
@@ -28,8 +31,7 @@ def sentence_codes(sentence: Sentence) -> list[str | None]:
 
 
 def make_corpus(tag_lists: list[list[str | None]], name: str = "test") -> Corpus:
-    sentences = tuple(make_sentence(codes, index=i) for i, codes in enumerate(tag_lists))
-    return Corpus(name=name, sentences=sentences)
+    return Corpus(name=name, sentences=tuple(make_sentence(codes) for codes in tag_lists))
 
 
 def enumerate_small(max_words: int, alphabet: Sequence[LanguageTag]) -> Iterator[Sentence]:
@@ -43,12 +45,9 @@ def enumerate_small(max_words: int, alphabet: Sequence[LanguageTag]) -> Iterator
         raise ValueError("max_words must be >= 1")
     if not alphabet:
         raise ValueError("alphabet must be non-empty")
-    index = 0
     for length in range(1, max_words + 1):
         for combo in itertools.product(alphabet, repeat=length):
-            tokens = tuple(Token(surface=f"w{i}", tag=tag) for i, tag in enumerate(combo))
-            yield Sentence(index=index, tokens=tokens)
-            index += 1
+            yield Sentence(tokens=tuple(Token(surface=f"w{i}", tag=tag) for i, tag in enumerate(combo)))
 
 
 @pytest.fixture

@@ -159,7 +159,7 @@ def test_criterion_4_randomized_property_suite():
         report = aggregate(corpus)
         if report.cmi_all > report.cmi_mixed + 1e-12:
             failures.append(f"cmi_all {report.cmi_all} > cmi_mixed {report.cmi_mixed}")
-        for sentence in corpus.sentences:
+        for position, sentence in enumerate(corpus.sentences):
             counts = count_sentence(sentence)
             metrics = metrics_from_counts(counts)
             if counts.language_count <= 1 and any(
@@ -173,7 +173,7 @@ def test_criterion_4_randomized_property_suite():
                     metrics.cf3,
                 )
             ):
-                failures.append(f"zero law violated at sentence {sentence.index}")
+                failures.append(f"zero law violated at sentence {position}")
             if not 0.0 <= metrics.switching_factor <= 1.0:
                 failures.append(f"SF out of range: {metrics.switching_factor}")
             if counts.language_count >= 1 and counts.total_tokens >= 2:
@@ -188,13 +188,13 @@ def test_criterion_4_randomized_property_suite():
                 if counts.switch_count < counts.tagged_tokens - 1:
                     bumped = metrics_from_counts(dataclasses.replace(counts, switch_count=counts.switch_count + 1))
                     if not (bumped.cf2 > metrics.cf2 and bumped.cf3 > metrics.cf3):
-                        failures.append(f"CF not strictly increasing in S at sentence {sentence.index}")
+                        failures.append(f"CF not strictly increasing in S at sentence {position}")
                 diluted_tokens = sentence.tokens + (
                     type(sentence.tokens[0])(surface="pad", tag=LanguageTag.undefined()),
                 )
                 diluted = metrics_from_counts(count_sentence(dataclasses.replace(sentence, tokens=diluted_tokens)))
                 if diluted.cf2 > metrics.cf2 + 1e-12 or diluted.cf3 > metrics.cf3 + 1e-12:
-                    failures.append(f"appending undefined token raised CF at sentence {sentence.index}")
+                    failures.append(f"appending undefined token raised CF at sentence {position}")
             if failures:
                 break
         if failures:

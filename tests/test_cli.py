@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 
@@ -335,6 +337,26 @@ class TestLargeInput:
         assert run(capsys, "stats", str(path)) == (1, "", f"error: {path}: {reason}\n")
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
         assert run(capsys, "stats", "-") == (1, "", f"error: -: {reason}\n")
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize(
+        "argv",
+        [["stats", str(FIXTURES / "case6.tags")], ["generate", "--sentences", "5", "--words", "3", "--languages", "2"]],
+        ids=["stats", "generate"],
+    )
+    def test_closed_stdout_exits_1_without_a_traceback(self, argv):
+        src = str(FIXTURES.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader has gone away before the first write
+        try:
+            done = subprocess.run([sys.executable, "-m", "codemix.cli", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert b"Traceback" not in done.stderr, done.stderr.decode()
 
 
 class TestMemory:

@@ -93,7 +93,7 @@ class TestColumnParsing:
         with caplog.at_level(logging.WARNING, logger="codemix.corpus_io"):
             corpus = parse_column_format("a\tEN\n\n\n\nb\tBN\n\n")
         assert len(corpus) == 2
-        assert corpus.sentences[1].index == 1
+        assert corpus.sentences[1] == Sentence(tokens=(Token(surface="b", tag=LanguageTag.language("BN")),))
         assert "skipped 2 empty sentence" in caplog.text
 
     def test_trailing_blank_lines_ignored_silently(self, caplog):
@@ -162,6 +162,16 @@ class TestWriting:
         assert [len(s) for s in again.sentences] == [1, 2, 2]
         assert again == corpus
 
+    @pytest.mark.parametrize("fmt", [CorpusFormat.COLUMN, CorpusFormat.INLINE])
+    def test_round_trip_needs_a_policy_that_registers_every_code(self, fmt):
+        policy = TagPolicy(language_codes=frozenset({"FR"}))
+        corpus = parse_column_format("a\tfr\n", policy)
+        reparse = parse_column_format if fmt is CorpusFormat.COLUMN else parse_inline_format
+        text = write_corpus(corpus, fmt)
+        assert reparse(text, policy) == corpus
+        with pytest.raises(ParseError, match="unknown tag 'FR'"):
+            reparse(text)
+
     def test_other_reason_round_trips(self):
         lenient = TagPolicy(unknown_tag_action=UnknownTagAction.TREAT_UNDEFINED)
         corpus = parse_column_format("foo\tzz\nbar\tEN\n\n", lenient)
@@ -170,7 +180,7 @@ class TestWriting:
         assert parse_column_format(text) == corpus
 
     def test_inline_rejects_space_in_surface(self):
-        sentence = Sentence(index=0, tokens=(Token(surface="a b", tag=LanguageTag.language("EN")),))
+        sentence = Sentence(tokens=(Token(surface="a b", tag=LanguageTag.language("EN")),))
         corpus = Corpus(name="", sentences=(sentence,))
         write_corpus(corpus, CorpusFormat.COLUMN)  # fine: tab-separated
         with pytest.raises(ValueError):
@@ -180,6 +190,7 @@ class TestWriting:
         a = make_corpus([["EN", "BN"]], name="a")
         b = make_corpus([["EN", "BN"]], name="b")
         assert a == b
+        assert hash(a) == hash(b)
 
 
 class TestModelValidation:
@@ -193,8 +204,6 @@ class TestModelValidation:
         assert LanguageTag.undefined(UndefinedReason.NAMED_ENTITY) == LanguageTag.undefined(UndefinedReason.SYMBOL)
         assert LanguageTag.language("EN") != LanguageTag.undefined()
         assert LanguageTag.language("EN") == LanguageTag.language("EN")
-
-    def test_corpus_requires_contiguous_indices(self):
-        good = make_corpus([["EN"], ["BN"]])
-        with pytest.raises(ValueError):
-            Corpus(name="", sentences=(good.sentences[1],))
+        assert hash(LanguageTag.undefined(UndefinedReason.NAMED_ENTITY)) == hash(
+            LanguageTag.undefined(UndefinedReason.SYMBOL)
+        )

@@ -181,12 +181,12 @@ def test_round_trip_identity_both_formats(sentence_specs):
     from codemix import Corpus, LanguageTag, Sentence, Token
 
     sentences = []
-    for i, token_specs in enumerate(sentence_specs):
+    for token_specs in sentence_specs:
         tokens = tuple(
             Token(surface=s, tag=LanguageTag.language(code) if code else LanguageTag.undefined())
             for s, code in token_specs
         )
-        sentences.append(Sentence(index=i, tokens=tokens))
+        sentences.append(Sentence(tokens=tokens))
     corpus = Corpus(name="prop", sentences=tuple(sentences))
     assert parse_column_format(write_corpus(corpus, CorpusFormat.COLUMN)) == corpus
     assert parse_inline_format(write_corpus(corpus, CorpusFormat.INLINE)) == corpus
