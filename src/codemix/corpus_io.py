@@ -23,7 +23,7 @@ import logging
 from dataclasses import dataclass
 from typing import BinaryIO, Callable, Iterable, Iterator
 
-from .model import Corpus, LanguageTag, Sentence, Token, UndefinedReason
+from .model import Corpus, LanguageTag, Sentence, UndefinedReason
 
 logger = logging.getLogger(__name__)
 
@@ -243,9 +243,7 @@ def _scan_inline(lines: Iterable[str], tags: _Tags, name: str) -> _Scan:
 
 
 def _corpus(scan: Callable[[Iterable[str], _Tags, str], _Scan], text: str, policy: TagPolicy, name: str) -> Corpus:
-    tags = _Tags(policy)
-    scanned = scan(text.split("\n"), tags, name)
-    sentences = tuple(Sentence(tuple(map(Token, surfaces, sentence))) for surfaces, sentence in scanned)
+    sentences = tuple(itertools.starmap(Sentence, scan(text.split("\n"), _Tags(policy), name)))
     return Corpus(name=name, sentences=sentences)
 
 
@@ -271,20 +269,24 @@ def write_corpus(corpus: Corpus, fmt: CorpusFormat = CorpusFormat.COLUMN) -> str
     """Serialize a corpus; parse(write(c), policy) == c for both formats if policy registers c's codes.
 
     Under the default policy, a code outside DEFAULT_LANGUAGES that is not L<n> raises ParseError.
+    INLINE raises ValueError for a surface with a space or a tag with a '/', which it cannot carry.
     """
     if fmt is CorpusFormat.COLUMN:
         parts = []
         for sentence in corpus.sentences:
-            for token in sentence.tokens:
-                parts.append(f"{token.surface}\t{_tag_text(token.tag)}\n")
+            for surface, tag in zip(sentence.surfaces, sentence.tags):
+                parts.append(f"{surface}\t{_tag_text(tag)}\n")
             parts.append("\n")
         return "".join(parts)
     if fmt is CorpusFormat.INLINE:
         lines = []
         for sentence in corpus.sentences:
-            for token in sentence.tokens:
-                if " " in token.surface:
-                    raise ValueError(f"surface {token.surface!r} not representable in INLINE format")
-            lines.append(" ".join(f"{t.surface}/{_tag_text(t.tag)}" for t in sentence.tokens) + "\n")
+            pairs = [(surface, _tag_text(tag)) for surface, tag in zip(sentence.surfaces, sentence.tags)]
+            for surface, text in pairs:
+                if " " in surface:
+                    raise ValueError(f"surface {surface!r} not representable in INLINE format")
+                if "/" in text:  # the last '/' of a token ends its surface
+                    raise ValueError(f"tag {text!r} not representable in INLINE format")
+            lines.append(" ".join(f"{surface}/{text}" for surface, text in pairs) + "\n")
         return "".join(lines)
     raise ValueError(f"unknown corpus format: {fmt!r}")

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .model import LanguageTag, Sentence
 
@@ -81,10 +81,10 @@ class SentenceMetrics:
 
 def count_sentence(sentence: Sentence) -> SentenceCounts:
     """Tally tokens, per-language counts and switch points for one sentence."""
-    return _count_tags([token.tag for token in sentence.tokens])
+    return _count_tags(sentence.tags)
 
 
-def _count_tags(tags: list[LanguageTag]) -> SentenceCounts:
+def _count_tags(tags: Sequence[LanguageTag]) -> SentenceCounts:
     """The counting summary of one sentence's tags, in token order."""
     per_language: dict[str, int] = {}
     undefined = 0

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import repeat
+from typing import Iterable
 
 
 class UndefinedReason(enum.Enum):
@@ -64,35 +66,60 @@ class LanguageTag:
 
 @dataclass(frozen=True)
 class Token:
-    """A surface form paired with its language tag."""
+    """A surface form paired with its language tag: one position of a Sentence.
+
+    Sentence.tokens builds these on demand, and Sentence.from_tokens takes
+    them; a Token is checked when a sentence is built from it, not here.
+    """
 
     surface: str
     tag: LanguageTag
-
-    def __post_init__(self) -> None:
-        if not self.surface:
-            raise ValueError("token surface must be non-empty")
-        if "\t" in self.surface or "\n" in self.surface or "\r" in self.surface:
-            raise ValueError(f"token surface contains tab/newline: {self.surface!r}")
 
 
 @dataclass(frozen=True)
 class Sentence:
     """An ordered, non-empty token sequence; the unit all indices are defined over.
 
-    A sentence is its tokens alone: its position belongs to the corpus that
-    holds it, so one sentence can be analysed on its own.
+    The tokens are stored as two columns of equal length, surfaces and tags,
+    and the whole sentence is checked at once when it is built. A sentence is
+    its tokens alone: its position belongs to the corpus that holds it, so one
+    sentence can be analysed on its own.
     """
 
-    tokens: tuple[Token, ...]
+    surfaces: tuple[str, ...]
+    tags: tuple[LanguageTag, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        if not self.tokens:
+        surfaces, tags = tuple(self.surfaces), tuple(self.tags)
+        object.__setattr__(self, "surfaces", surfaces)
+        object.__setattr__(self, "tags", tags)
+        if not surfaces:
             raise ValueError("sentence must contain at least one token")
+        if len(tags) != len(surfaces):
+            raise ValueError(f"sentence has {len(surfaces)} surface(s) but {len(tags)} tag(s)")
+        joined = "\0".join(surfaces)  # TypeError unless every surface is a str
+        if not all(surfaces):
+            raise ValueError("token surface must be non-empty")
+        if "\t" in joined or "\n" in joined or "\r" in joined:
+            surface = next(s for s in surfaces if "\t" in s or "\n" in s or "\r" in s)
+            raise ValueError(f"token surface contains tab/newline: {surface!r}")
+        if not all(map(isinstance, tags, repeat(LanguageTag))):
+            tag = next(t for t in tags if not isinstance(t, LanguageTag))
+            raise TypeError(f"token tag must be a LanguageTag, not {type(tag).__name__}")
+
+    @classmethod
+    def from_tokens(cls, tokens: Iterable[Token]) -> "Sentence":
+        """The sentence of these tokens, in order, checked as any sentence is."""
+        tokens = tuple(tokens)
+        return cls(tuple(t.surface for t in tokens), tuple(t.tag for t in tokens))
+
+    @property
+    def tokens(self) -> tuple[Token, ...]:
+        """The sentence as Tokens, built on each call."""
+        return tuple(map(Token, self.surfaces, self.tags))
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.surfaces)
 
 
 @dataclass(frozen=True)
@@ -101,7 +128,7 @@ class Corpus:
 
     Equality and hash compare sentences only: the name is metadata that the
     text formats do not carry, so it is excluded from round-trip identity.
-    Sentences and tokens are checked where they are made, so none is walked here.
+    Each sentence checks its surfaces and tags when it is built, so none is walked here.
     """
 
     name: str = field(compare=False)

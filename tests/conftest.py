@@ -7,7 +7,7 @@ from typing import Iterator, Sequence
 
 import pytest
 
-from codemix import Corpus, LanguageTag, Sentence, Token, UndefinedReason
+from codemix import Corpus, LanguageTag, Sentence, UndefinedReason
 
 sys.path.insert(0, str(Path(__file__).parent))  # makes naive_oracle importable
 
@@ -19,15 +19,15 @@ def make_sentence(codes: list[str | None]) -> Sentence:
 
     Its position is not part of it: a corpus gives each sentence its place.
     """
-    tokens = []
-    for i, code in enumerate(codes):
-        tag = LanguageTag.undefined(UndefinedReason.UNIVERSAL) if code is None else LanguageTag.language(code)
-        tokens.append(Token(surface=f"w{i}", tag=tag))
-    return Sentence(tokens=tuple(tokens))
+    tags = tuple(
+        LanguageTag.undefined(UndefinedReason.UNIVERSAL) if code is None else LanguageTag.language(code)
+        for code in codes
+    )
+    return Sentence(surfaces=tuple(f"w{i}" for i in range(len(tags))), tags=tags)
 
 
 def sentence_codes(sentence: Sentence) -> list[str | None]:
-    return [t.tag.code for t in sentence.tokens]
+    return [tag.code for tag in sentence.tags]
 
 
 def make_corpus(tag_lists: list[list[str | None]], name: str = "test") -> Corpus:
@@ -47,7 +47,7 @@ def enumerate_small(max_words: int, alphabet: Sequence[LanguageTag]) -> Iterator
         raise ValueError("alphabet must be non-empty")
     for length in range(1, max_words + 1):
         for combo in itertools.product(alphabet, repeat=length):
-            yield Sentence(tokens=tuple(Token(surface=f"w{i}", tag=tag) for i, tag in enumerate(combo)))
+            yield Sentence(surfaces=tuple(f"w{i}" for i in range(length)), tags=combo)
 
 
 @pytest.fixture

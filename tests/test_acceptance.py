@@ -189,10 +189,10 @@ def test_criterion_4_randomized_property_suite():
                     bumped = metrics_from_counts(dataclasses.replace(counts, switch_count=counts.switch_count + 1))
                     if not (bumped.cf2 > metrics.cf2 and bumped.cf3 > metrics.cf3):
                         failures.append(f"CF not strictly increasing in S at sentence {position}")
-                diluted_tokens = sentence.tokens + (
-                    type(sentence.tokens[0])(surface="pad", tag=LanguageTag.undefined()),
+                diluted_sentence = dataclasses.replace(
+                    sentence, surfaces=sentence.surfaces + ("pad",), tags=sentence.tags + (LanguageTag.undefined(),)
                 )
-                diluted = metrics_from_counts(count_sentence(dataclasses.replace(sentence, tokens=diluted_tokens)))
+                diluted = metrics_from_counts(count_sentence(diluted_sentence))
                 if diluted.cf2 > metrics.cf2 + 1e-12 or diluted.cf3 > metrics.cf3 + 1e-12:
                     failures.append(f"appending undefined token raised CF at sentence {position}")
             if failures:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import logging
+import re
 
 import pytest
 
@@ -93,7 +94,7 @@ class TestColumnParsing:
         with caplog.at_level(logging.WARNING, logger="codemix.corpus_io"):
             corpus = parse_column_format("a\tEN\n\n\n\nb\tBN\n\n")
         assert len(corpus) == 2
-        assert corpus.sentences[1] == Sentence(tokens=(Token(surface="b", tag=LanguageTag.language("BN")),))
+        assert corpus.sentences[1] == Sentence(surfaces=("b",), tags=(LanguageTag.language("BN"),))
         assert "skipped 2 empty sentence" in caplog.text
 
     def test_trailing_blank_lines_ignored_silently(self, caplog):
@@ -180,10 +181,17 @@ class TestWriting:
         assert parse_column_format(text) == corpus
 
     def test_inline_rejects_space_in_surface(self):
-        sentence = Sentence(tokens=(Token(surface="a b", tag=LanguageTag.language("EN")),))
+        sentence = Sentence(surfaces=("a b",), tags=(LanguageTag.language("EN"),))
         corpus = Corpus(name="", sentences=(sentence,))
         write_corpus(corpus, CorpusFormat.COLUMN)  # fine: tab-separated
         with pytest.raises(ValueError):
+            write_corpus(corpus, CorpusFormat.INLINE)
+
+    def test_inline_rejects_slash_in_tag(self):
+        policy = TagPolicy(language_codes=frozenset({"A/B", "EN"}), unknown_tag_action=UnknownTagAction.TREAT_UNDEFINED)
+        corpus = parse_column_format("x\tA/B\ny\tEN\n", policy)
+        assert parse_column_format(write_corpus(corpus, CorpusFormat.COLUMN), policy) == corpus
+        with pytest.raises(ValueError, match="tag 'A/B' not representable in INLINE format"):
             write_corpus(corpus, CorpusFormat.INLINE)
 
     def test_corpus_equality_ignores_name(self):
@@ -193,12 +201,28 @@ class TestWriting:
         assert hash(a) == hash(b)
 
 
+def _malformed_sentences():
+    en = LanguageTag.language("EN")
+    yield pytest.param((), (), ValueError, "at least one token", id="empty-sentence")
+    yield pytest.param(("a", "", "c"), (en,) * 3, ValueError, "surface must be non-empty", id="empty-surface")
+    for char, name in (("\t", "tab"), ("\n", "LF"), ("\r", "CR")):
+        for position, where in enumerate(("first", "middle", "last")):
+            surfaces = ["a", "b", "c"]
+            surfaces[position] = f"x{char}y"
+            message = re.escape(f"tab/newline: {surfaces[position]!r}")
+            yield pytest.param(tuple(surfaces), (en,) * 3, ValueError, message, id=f"{name}-{where}")
+    yield pytest.param(("a", "b"), (en,), ValueError, re.escape("2 surface(s) but 1 tag(s)"), id="unequal-lengths")
+    yield pytest.param(("a", "b", "c"), (en, "HI", en), TypeError, "must be a LanguageTag, not str", id="str-tag")
+
+
 class TestModelValidation:
-    def test_token_rejects_tab_and_empty(self):
-        with pytest.raises(ValueError):
-            Token(surface="a\tb", tag=LanguageTag.language("EN"))
-        with pytest.raises(ValueError):
-            Token(surface="", tag=LanguageTag.language("EN"))
+    @pytest.mark.parametrize("surfaces, tags, error, message", _malformed_sentences())
+    def test_sentence_rejects_malformed_tokens(self, surfaces, tags, error, message):
+        with pytest.raises(error, match=message):
+            Sentence(surfaces, tags)
+        if len(surfaces) == len(tags):  # Tokens cannot carry unequal columns
+            with pytest.raises(error, match=message):
+                Sentence.from_tokens(map(Token, surfaces, tags))
 
     def test_tag_equality_ignores_undefined_reason(self):
         assert LanguageTag.undefined(UndefinedReason.NAMED_ENTITY) == LanguageTag.undefined(UndefinedReason.SYMBOL)

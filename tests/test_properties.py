@@ -22,12 +22,15 @@ from codemix import (
     CorpusReport,
     IndexSummaryRow,
     LanguageDistributionRow,
+    LanguageTag,
     MetricConfig,
     ParseError,
+    Sentence,
     SentenceCounts,
     SentenceMetrics,
     SentenceRecord,
     TagPolicy,
+    UndefinedReason,
     UnknownTagAction,
     aggregate,
     analyze_sentence,
@@ -178,18 +181,46 @@ mixed_tags = st.sampled_from(["L1", "L2", None])
 @settings(max_examples=50)
 @given(st.lists(st.lists(st.tuples(surfaces, mixed_tags), min_size=1, max_size=6), min_size=1, max_size=4))
 def test_round_trip_identity_both_formats(sentence_specs):
-    from codemix import Corpus, LanguageTag, Sentence, Token
-
     sentences = []
     for token_specs in sentence_specs:
-        tokens = tuple(
-            Token(surface=s, tag=LanguageTag.language(code) if code else LanguageTag.undefined())
-            for s, code in token_specs
-        )
-        sentences.append(Sentence(tokens=tokens))
+        surfaces = tuple(s for s, _ in token_specs)
+        tags = tuple(LanguageTag.language(code) if code else LanguageTag.undefined() for _, code in token_specs)
+        sentences.append(Sentence(surfaces=surfaces, tags=tags))
     corpus = Corpus(name="prop", sentences=tuple(sentences))
     assert parse_column_format(write_corpus(corpus, CorpusFormat.COLUMN)) == corpus
     assert parse_inline_format(write_corpus(corpus, CorpusFormat.INLINE)) == corpus
+
+
+any_tags = st.sampled_from(
+    [
+        LanguageTag.language("L1"),
+        LanguageTag.language("L2"),
+        LanguageTag.undefined(UndefinedReason.NAMED_ENTITY),
+        LanguageTag.undefined(),
+    ]
+)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(surfaces, any_tags), min_size=1, max_size=8))
+def test_sentence_from_its_tokens_is_itself(token_specs):
+    sentence = Sentence(tuple(s for s, _ in token_specs), tuple(t for _, t in token_specs))
+    assert [(t.surface, t.tag) for t in sentence.tokens] == token_specs
+    again = Sentence.from_tokens(sentence.tokens)
+    assert again == sentence
+    assert hash(again) == hash(sentence)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.text(alphabet="a \t\n\r\0", max_size=3), min_size=1, max_size=6))
+def test_sentence_rejects_exactly_what_a_per_token_check_rejects(texts):
+    per_token_bad = any(not s or "\t" in s or "\n" in s or "\r" in s for s in texts)
+    try:
+        Sentence(tuple(texts), (LanguageTag.undefined(),) * len(texts))
+    except ValueError:
+        assert per_token_bad
+    else:
+        assert not per_token_bad
 
 
 def _max_switches(multiset: list[str]) -> int:
