@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import logging
 import os
 import sys
 from pathlib import Path
 
-from .corpus_io import TagPolicy, UnknownTagAction, _read_lines, _scan_column, _scan_inline, _Tags
+from .corpus_io import TagPolicy, UnknownTagAction, _log_warning, _read_lines, _scan_column, _scan_inline, _Tags
 from .metrics import DEFAULT_CONFIG, MetricConfig, SentenceCounts, SentenceMetrics, _count_tags
 from .render import (
     _CSV_HEADER,
@@ -39,6 +38,14 @@ from .synth import Arrangement, GenSpec, _column_text
 
 class CliError(Exception):
     """A diagnostic that should reach the user as `error: ...` with exit status 1."""
+
+
+def _warn(message: str) -> None:
+    """A scanner's warning, on stderr as `warning: ...`; logging is imported and set up only for one."""
+    import logging
+
+    logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="warning: %(message)s")
+    _log_warning(message)
 
 
 def _build_policy(args: argparse.Namespace) -> TagPolicy:
@@ -81,7 +88,7 @@ def _report(
     try:
         tags = _Tags(_build_policy(args))
         with contextlib.nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as binary:
-            counts = (_count_tags(sentence) for _, sentence in scan(_read_lines(binary), tags, name))
+            counts = (_count_tags(sentence) for _, sentence in scan(_read_lines(binary), tags, name, _warn))
             return _fold(name, counts, config, keep)
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror or exc}") from exc
@@ -226,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="warning: %(message)s")
     args = build_parser().parse_args(argv)
     try:
         status = args.func(args)

@@ -19,13 +19,10 @@ from __future__ import annotations
 import codecs
 import enum
 import itertools
-import logging
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import BinaryIO, Callable, Iterable, Iterator
 
 from .model import Corpus, LanguageTag, Sentence, UndefinedReason
-
-logger = logging.getLogger(__name__)
 
 # The nine languages of the multilingual reference corpus this tool was
 # built around; the default registry.
@@ -63,8 +60,7 @@ class CorpusFormat(enum.Enum):
     INLINE = "inline"
 
 
-@dataclass(frozen=True)
-class TagPolicy:
+class TagPolicy(namedtuple("TagPolicy", ("language_codes", "unknown_tag_action"))):
     """How raw tag strings map onto language/undefined assignments.
 
     Codes of the form L<number> (the synthetic family used by the corpus
@@ -72,15 +68,22 @@ class TagPolicy:
     the registry. The undefined aliases are the fixed keys of _ALIAS_REASONS.
     """
 
-    language_codes: frozenset[str] = DEFAULT_LANGUAGES
-    unknown_tag_action: UnknownTagAction = UnknownTagAction.ERROR
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        codes = frozenset(LanguageTag.language(c).code for c in self.language_codes)
-        object.__setattr__(self, "language_codes", codes)
+    def __new__(
+        cls,
+        language_codes: Iterable[str] = DEFAULT_LANGUAGES,
+        unknown_tag_action: UnknownTagAction = UnknownTagAction.ERROR,
+    ) -> TagPolicy:
+        codes = frozenset(LanguageTag.language(c).code for c in language_codes)
         overlap = codes & _ALIAS_REASONS.keys()
         if overlap:
             raise ValueError(f"language codes and undefined aliases overlap: {sorted(overlap)}")
+        return super().__new__(cls, codes, unknown_tag_action)
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> TagPolicy:
+        return cls(*fields)  # so that _replace checks too
 
 
 DEFAULT_POLICY = TagPolicy()
@@ -120,6 +123,14 @@ class _Tags(dict):
 
 
 _Scan = Iterator[tuple[list[str], list[LanguageTag]]]
+_Warn = Callable[[str], None]
+
+
+def _log_warning(message: str) -> None:
+    """The scanners' default warning: one record on this module's logger; logging is imported only now."""
+    import logging
+
+    logging.getLogger(__name__).warning(message)
 
 
 # Bytes per read, before it runs on to a line end: a chunk's lines are all held at once.
@@ -164,11 +175,12 @@ def _decode_error(exc: UnicodeDecodeError, base: int) -> str:
     return f"'{exc.encoding}' codec can't decode {where}: {exc.reason}"
 
 
-def _scan_column(lines: Iterable[str], tags: _Tags, name: str) -> _Scan:
+def _scan_column(lines: Iterable[str], tags: _Tags, name: str, warn: _Warn = _log_warning) -> _Scan:
     """The surfaces and tags of each COLUMN sentence; every check of the format happens here.
 
     Only LF ends a line, and a line's trailing CRs are dropped. Blank lines
-    after the last sentence are neither sentences nor skipped.
+    after the last sentence are neither sentences nor skipped. Skipped empty
+    sentences are counted and passed to warn once, after the last line.
     """
     skipped = 0
     closed_at = lineno = 0  # the blank line that closed the last sentence, and the last line
@@ -202,11 +214,11 @@ def _scan_column(lines: Iterable[str], tags: _Tags, name: str) -> _Scan:
         yield surfaces, sentence
     else:
         skipped -= lineno - closed_at  # every line after closed_at is blank, and was counted
-    if skipped:  # logged once the text is exhausted, so never before a ParseError
-        logger.warning("%s: skipped %d empty sentence(s)", name or "<column stream>", skipped)
+    if skipped:  # warned once the text is exhausted, so never before a ParseError
+        warn(f"{name or '<column stream>'}: skipped {skipped} empty sentence(s)")
 
 
-def _scan_inline(lines: Iterable[str], tags: _Tags, name: str) -> _Scan:
+def _scan_inline(lines: Iterable[str], tags: _Tags, name: str, warn: _Warn = _log_warning) -> _Scan:
     """The surfaces and tags of each INLINE sentence; every check of the format happens here.
 
     Lines end as in _scan_column, and blank lines after the last sentence are not skipped sentences.
@@ -233,13 +245,23 @@ def _scan_inline(lines: Iterable[str], tags: _Tags, name: str) -> _Scan:
                 if unsafe and ("\t" in surface or "\r" in surface):
                     raise ValueError(f"token surface contains tab/newline: {surface!r}")
             except ValueError as exc:
-                raise ParseError(lineno, f"token {position}: {exc}") from exc
+                raise ParseError(lineno, f"token {position}: {_inline_reason(exc, chunk, tags.policy)}") from exc
             surfaces.append(surface)
         last = lineno
         yield surfaces, sentence
     skipped -= lineno - last  # every line after the last sentence is blank, and was counted
     if skipped:
-        logger.warning("%s: skipped %d empty sentence(s)", name or "<inline stream>", skipped)
+        warn(f"{name or '<inline stream>'}: skipped {skipped} empty sentence(s)")
+
+
+def _inline_reason(exc: ValueError, chunk: str, policy: TagPolicy) -> str:
+    """Why an INLINE token failed; an unknown tag cut from a registered code with a '/' names that code."""
+    upper = chunk.upper()
+    cut = [code for code in policy.language_codes if "/" in code and upper.endswith("/" + code)]
+    if not isinstance(exc, UnknownTagError) or not cut:
+        return str(exc)
+    code = max(cut, key=len)
+    return f"{exc}: INLINE takes the text after the last '/' as the tag, so it cannot carry the code {code!r}"
 
 
 def _corpus(scan: Callable[[Iterable[str], _Tags, str], _Scan], text: str, policy: TagPolicy, name: str) -> Corpus:

@@ -21,35 +21,37 @@ number of threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .model import LanguageTag, Sentence
 
 
-@dataclass(frozen=True)
-class MetricConfig:
+class MetricConfig(namedtuple("MetricConfig", ("mix_weight", "switch_weight"))):
     """Weights for the mix and switch terms of every CF."""
 
-    mix_weight: float = 50.0
-    switch_weight: float = 50.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, mix_weight: float = 50.0, switch_weight: float = 50.0) -> MetricConfig:
         # A finite sum also keeps every CF finite: CF <= a + b, as MF, SF <= 1 <= f(LF).
-        if not math.isfinite(self.mix_weight + self.switch_weight):
+        if not math.isfinite(mix_weight + switch_weight):
             raise ValueError("weights and their sum must be finite")
-        if self.mix_weight < 0 or self.switch_weight < 0:
+        if mix_weight < 0 or switch_weight < 0:
             raise ValueError("weights must be non-negative")
-        if self.mix_weight + self.switch_weight <= 0:
+        if mix_weight + switch_weight <= 0:
             raise ValueError("weights must not sum to zero")
+        return super().__new__(cls, mix_weight, switch_weight)
+
+    @classmethod
+    def _make(cls, fields: Iterable[float]) -> MetricConfig:
+        return cls(*fields)  # so that _replace checks too
 
 
 DEFAULT_CONFIG = MetricConfig()
 
 
-@dataclass(frozen=True)
-class SentenceCounts:
+class SentenceCounts(NamedTuple):
     """Counting summary of one sentence; input to every index formula.
 
     per_language is stored as given; count_sentence passes a read-only view.
@@ -66,8 +68,7 @@ class SentenceCounts:
     __hash__ = None  # per_language is a mapping, which has no hash
 
 
-@dataclass(frozen=True)
-class SentenceMetrics:
+class SentenceMetrics(NamedTuple):
     """All indices of one sentence, at full double precision."""
 
     language_factor: float

@@ -6,9 +6,8 @@ All types are immutable value objects; metrics and parsers never mutate them.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 class UndefinedReason(enum.Enum):
@@ -21,26 +20,46 @@ class UndefinedReason(enum.Enum):
     OTHER = "OTHER"
 
 
-@dataclass(frozen=True)
-class LanguageTag:
+class _Immutable:
+    """A slotted value whose fields are set once, by __init__ through object.__setattr__.
+
+    Its __slots__ name the fields in __init__'s order, so copy and pickle
+    rebuild it through __init__, which checks it again.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, *_: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple[type, tuple]:
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class LanguageTag(_Immutable):
     """A token's language assignment: either a language code or Undefined.
 
     Two tags are equal, and hash alike, iff both are Undefined or both carry
     the same code; the undefined reason is informational and is not compared.
     """
 
+    __slots__ = ("code", "reason")
     code: str | None
-    reason: UndefinedReason | None = field(default=None, compare=False)
+    reason: UndefinedReason | None
 
-    def __post_init__(self) -> None:
-        if self.code is None:
-            if self.reason is None:
+    def __init__(self, code: str | None, reason: UndefinedReason | None = None) -> None:
+        if code is None:
+            if reason is None:
                 raise ValueError("undefined tag requires a reason")
         else:
-            if self.reason is not None:
+            if reason is not None:
                 raise ValueError("language tag cannot carry an undefined reason")
-            if not self.code or self.code != self.code.upper() or any(c.isspace() for c in self.code):
-                raise ValueError(f"malformed language code: {self.code!r}")
+            if not code or code != code.upper() or any(c.isspace() for c in code):
+                raise ValueError(f"malformed language code: {code!r}")
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "reason", reason)
 
     @classmethod
     def language(cls, code: str) -> "LanguageTag":
@@ -58,14 +77,21 @@ class LanguageTag:
     def is_undefined(self) -> bool:
         return self.code is None
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.code == other.code
+
+    def __hash__(self) -> int:
+        return hash(self.code)
+
     def __repr__(self) -> str:
         if self.is_language:
             return f"LanguageTag({self.code})"
         return f"LanguageTag(undefined:{self.reason.value})"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A surface form paired with its language tag: one position of a Sentence.
 
     Sentence.tokens builds these on demand, and Sentence.from_tokens takes
@@ -76,23 +102,24 @@ class Token:
     tag: LanguageTag
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(_Immutable):
     """An ordered, non-empty token sequence; the unit all indices are defined over.
 
     The tokens are stored as two columns of equal length, surfaces and tags,
     and the whole sentence is checked at once when it is built. A sentence is
     its tokens alone: its position belongs to the corpus that holds it, so one
-    sentence can be analysed on its own.
+    sentence can be analysed on its own. len() counts its tokens.
     """
 
+    __slots__ = ("surfaces", "tags")
     surfaces: tuple[str, ...]
     tags: tuple[LanguageTag, ...]
 
-    def __post_init__(self) -> None:
-        surfaces, tags = tuple(self.surfaces), tuple(self.tags)
-        object.__setattr__(self, "surfaces", surfaces)
-        object.__setattr__(self, "tags", tags)
+    def __init__(self, surfaces: Iterable[str], tags: Iterable[LanguageTag]) -> None:
+        if isinstance(surfaces, str) or isinstance(tags, str):
+            column = "surfaces" if isinstance(surfaces, str) else "tags"
+            raise TypeError(f"sentence {column} must be a sequence, not one str")
+        surfaces, tags = tuple(surfaces), tuple(tags)
         if not surfaces:
             raise ValueError("sentence must contain at least one token")
         if len(tags) != len(surfaces):
@@ -106,6 +133,8 @@ class Sentence:
         if not all(map(isinstance, tags, repeat(LanguageTag))):
             tag = next(t for t in tags if not isinstance(t, LanguageTag))
             raise TypeError(f"token tag must be a LanguageTag, not {type(tag).__name__}")
+        object.__setattr__(self, "surfaces", surfaces)
+        object.__setattr__(self, "tags", tags)
 
     @classmethod
     def from_tokens(cls, tokens: Iterable[Token]) -> "Sentence":
@@ -121,21 +150,45 @@ class Sentence:
     def __len__(self) -> int:
         return len(self.surfaces)
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.surfaces == other.surfaces and self.tags == other.tags
 
-@dataclass(frozen=True)
-class Corpus:
+    def __hash__(self) -> int:
+        return hash((self.surfaces, self.tags))
+
+    def __repr__(self) -> str:
+        return f"Sentence(surfaces={self.surfaces!r}, tags={self.tags!r})"
+
+
+class Corpus(_Immutable):
     """A named, ordered sentence collection; a sentence's position is its place in the tuple.
 
     Equality and hash compare sentences only: the name is metadata that the
     text formats do not carry, so it is excluded from round-trip identity.
-    Each sentence checks its surfaces and tags when it is built, so none is walked here.
+    Each sentence checks its surfaces and tags when it is built, so none is
+    walked here. len() counts its sentences.
     """
 
-    name: str = field(compare=False)
+    __slots__ = ("name", "sentences")
+    name: str
     sentences: tuple[Sentence, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sentences", tuple(self.sentences))
+    def __init__(self, name: str, sentences: Iterable[Sentence]) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "sentences", tuple(sentences))
 
     def __len__(self) -> int:
         return len(self.sentences)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sentences == other.sentences
+
+    def __hash__(self) -> int:
+        return hash(self.sentences)
+
+    def __repr__(self) -> str:
+        return f"Corpus(name={self.name!r}, sentences={self.sentences!r})"

@@ -4,11 +4,9 @@ corpus means (CMI-all / CMI-mixed), scatter data and corpus comparison.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import re
-from dataclasses import dataclass
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, NamedTuple, TypeVar
 
 from .metrics import (
     DEFAULT_CONFIG,
@@ -30,8 +28,7 @@ WORDS_PER_SENTENCE = "words_per_sentence"
 SUMMARY_INDICES = INDEX_NAMES + (WORDS_PER_SENTENCE,)
 
 
-@dataclass(frozen=True)
-class LanguageDistributionRow:
+class LanguageDistributionRow(NamedTuple):
     """One language's share of a corpus (or the language-independent share)."""
 
     language: str
@@ -40,16 +37,14 @@ class LanguageDistributionRow:
     percentage: float
 
 
-@dataclass(frozen=True)
-class IndexSummaryRow:
+class IndexSummaryRow(NamedTuple):
     index_name: str
     min: float
     max: float
     mean: float
 
 
-@dataclass(frozen=True)
-class SentenceRecord:
+class SentenceRecord(NamedTuple):
     index: int
     counts: SentenceCounts
     metrics: SentenceMetrics
@@ -57,8 +52,7 @@ class SentenceRecord:
     __hash__ = None  # holds SentenceCounts, which has no hash
 
 
-@dataclass(frozen=True)
-class CorpusReport:
+class CorpusReport(NamedTuple):
     corpus_name: str
     sentence_count: int
     token_count: int
@@ -77,8 +71,7 @@ class CorpusReport:
         raise ValueError(f"unknown index {index_name!r}; expected one of {', '.join(SUMMARY_INDICES)}")
 
 
-@dataclass(frozen=True)
-class IndexComparison:
+class IndexComparison(NamedTuple):
     index_name: str
     mean_a: float
     mean_b: float
@@ -86,8 +79,7 @@ class IndexComparison:
     verdict: str  # "A", "B" or "TIE"
 
 
-@dataclass(frozen=True)
-class CorpusComparison:
+class CorpusComparison(NamedTuple):
     corpus_a: str
     corpus_b: str
     rows: tuple[IndexComparison, ...]
@@ -118,7 +110,7 @@ def aggregate(corpus: Corpus, config: MetricConfig = DEFAULT_CONFIG) -> CorpusRe
     listing reflects the corpus ordering.
     """
     report, records = _fold(corpus.name, map(count_sentence, corpus.sentences), config, SentenceRecord)
-    return dataclasses.replace(report, per_sentence=tuple(records))
+    return report._replace(per_sentence=tuple(records))
 
 
 _Keep = Callable[[int, SentenceCounts, SentenceMetrics], T]

@@ -25,7 +25,8 @@ RNG. Uniform draws below a bound use rejection sampling (no modulo bias).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import Iterable
 
 from .corpus_io import parse_column_format
 from .model import Corpus
@@ -86,29 +87,42 @@ class Arrangement(enum.Enum):
     RANDOM = "random"
 
 
-@dataclass(frozen=True)
-class GenSpec:
-    """Recipe for a synthetic corpus; equal specs generate identical corpora."""
+class GenSpec(
+    namedtuple("GenSpec", ("sentence_count", "words", "language_count", "arrangement", "undefined_ratio", "seed"))
+):
+    """Recipe for a synthetic corpus; equal specs generate identical corpora.
 
-    sentence_count: int
-    words: int | tuple[int, int]  # tokens per sentence, fixed or inclusive range
-    language_count: int
-    arrangement: Arrangement = Arrangement.ALTERNATING
-    undefined_ratio: float = 0.0
-    seed: int = 0
+    words is the number of tokens per sentence: an int, or an inclusive (min, max) range.
+    """
 
-    def __post_init__(self) -> None:
-        if self.sentence_count < 1:
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        sentence_count: int,
+        words: int | tuple[int, int],
+        language_count: int,
+        arrangement: Arrangement = Arrangement.ALTERNATING,
+        undefined_ratio: float = 0.0,
+        seed: int = 0,
+    ) -> GenSpec:
+        spec = super().__new__(cls, sentence_count, words, language_count, arrangement, undefined_ratio, seed)
+        if sentence_count < 1:
             raise ValueError("sentence_count must be >= 1")
-        lo, hi = self.word_range
+        lo, hi = spec.word_range
         if lo < 1 or hi < lo:
-            raise ValueError(f"invalid words range: {self.words!r}")
-        if self.language_count < 1:
+            raise ValueError(f"invalid words range: {words!r}")
+        if language_count < 1:
             raise ValueError("language_count must be >= 1")
-        if self.language_count > lo:
-            raise ValueError(f"language_count {self.language_count} exceeds minimum sentence length {lo}")
-        if not 0.0 <= self.undefined_ratio < 1.0:
+        if language_count > lo:
+            raise ValueError(f"language_count {language_count} exceeds minimum sentence length {lo}")
+        if not 0.0 <= undefined_ratio < 1.0:
             raise ValueError("undefined_ratio must lie in [0, 1)")
+        return spec
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> GenSpec:
+        return cls(*fields)  # so that _replace checks too
 
     @property
     def word_range(self) -> tuple[int, int]:

@@ -6,7 +6,6 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import io
 import time
 
@@ -15,6 +14,7 @@ from codemix import (
     CorpusFormat,
     GenSpec,
     LanguageTag,
+    Sentence,
     aggregate,
     compare,
     count_sentence,
@@ -186,12 +186,10 @@ def test_criterion_4_randomized_property_suite():
                 failures.append("cf2 != cf3 at LF = 1")
             if counts.language_count >= 2:
                 if counts.switch_count < counts.tagged_tokens - 1:
-                    bumped = metrics_from_counts(dataclasses.replace(counts, switch_count=counts.switch_count + 1))
+                    bumped = metrics_from_counts(counts._replace(switch_count=counts.switch_count + 1))
                     if not (bumped.cf2 > metrics.cf2 and bumped.cf3 > metrics.cf3):
                         failures.append(f"CF not strictly increasing in S at sentence {position}")
-                diluted_sentence = dataclasses.replace(
-                    sentence, surfaces=sentence.surfaces + ("pad",), tags=sentence.tags + (LanguageTag.undefined(),)
-                )
+                diluted_sentence = Sentence(sentence.surfaces + ("pad",), sentence.tags + (LanguageTag.undefined(),))
                 diluted = metrics_from_counts(count_sentence(diluted_sentence))
                 if diluted.cf2 > metrics.cf2 + 1e-12 or diluted.cf3 > metrics.cf3 + 1e-12:
                     failures.append(f"appending undefined token raised CF at sentence {position}")

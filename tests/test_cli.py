@@ -152,6 +152,20 @@ class TestAnalyze:
         ):
             assert run(capsys, "stats", str(src), "--languages", codes) == (1, "", f"error: {src}: {reason}\n")
 
+    def test_inline_error_for_a_code_with_a_slash_says_why(self, capsys, monkeypatch):
+        registry = ["--format", "inline", "--languages", "A/B,EN"]
+        hint = "INLINE takes the text after the last '/' as the tag, so it cannot carry the code 'A/B'"
+        for data, argv, expected in (
+            (b"x/A/B y/EN\n", registry, (1, "", f"error: -: line 1: token 1: unknown tag 'B': {hint}\n")),
+            (b"y/EN\nx/a/b\n", registry, (1, "", f"error: -: line 2: token 1: unknown tag 'b': {hint}\n")),
+            (b"x/A/C y/EN\n", registry, (1, "", "error: -: line 1: token 1: unknown tag 'C'\n")),
+        ):
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+            assert run(capsys, "stats", "-", *argv) == expected
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"x/A/B y/EN\n"), encoding="utf-8"))
+        code, out, err = run(capsys, "stats", "-", *registry, "--unknown", "undefined")
+        assert (code, err) == (0, "") and "tokens: 2" in out
+
     def test_dash_reads_stdin(self, capsys, monkeypatch):
         for data, expected_out, expected_err in (
             ((FIXTURES / "case6.tags").read_bytes(), GOLDEN_CASE6.replace('"corpus": "case6"', '"corpus": "-"'), ""),
@@ -339,6 +353,49 @@ class TestLargeInput:
         assert run(capsys, "stats", "-") == (1, "", f"error: -: {reason}\n")
 
 
+def _child_env() -> dict[str, str]:
+    """The environment of a `python -m codemix.cli` child: this one, with the checkout's src on PYTHONPATH."""
+    src = str(FIXTURES.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+class TestWarningOnStderr:
+    @pytest.mark.parametrize(
+        "fmt, text, clean, skipped",
+        [
+            ("column", "a\tEN\n\n\nb\tHI\n\n\n\nc\tEN\n", "a\tEN\n\nb\tHI\n\nc\tEN\n", 3),
+            ("inline", "a/EN b/HI\n\nc/EN\n\n", "a/EN b/HI\nc/EN\n", 1),
+        ],
+        ids=["column", "inline"],
+    )
+    def test_skipped_empty_sentences_print_one_warning_line(self, tmp_path, fmt, text, clean, skipped):
+        runs = []
+        for directory, body in (("skip", text), ("clean", clean)):
+            path = tmp_path / directory / "skip.tags"
+            path.parent.mkdir()
+            path.write_text(body, encoding="utf-8")
+            argv = [sys.executable, "-m", "codemix.cli", "stats", str(path), "--format", fmt]
+            runs.append(subprocess.run(argv, capture_output=True, env=_child_env(), timeout=60))
+        warned, plain = runs
+        assert (warned.returncode, plain.returncode, plain.stderr) == (0, 0, b"")
+        assert warned.stderr == f"warning: skip: skipped {skipped} empty sentence(s)\n".encode()
+        assert warned.stdout == plain.stdout
+
+
+class TestStartup:
+    def test_cli_import_and_run_load_no_dataclasses_or_logging(self):
+        listing = "import sys; sys.stderr.write(' '.join(sys.modules))"
+        case6 = str(FIXTURES / "case6.tags")
+        loaded = []
+        for script in (listing, f"import codemix.cli; codemix.cli.main(['stats', {case6!r}]); {listing}"):
+            done = subprocess.run([sys.executable, "-c", script], capture_output=True, env=_child_env(), timeout=60)
+            assert done.returncode == 0, done.stderr.decode()
+            loaded.append(set(done.stderr.decode().split()))
+        bare, cli = loaded  # what site loads in a bare interpreter is not the CLI's doing
+        assert "codemix.cli" in cli
+        assert (cli - bare) & {"dataclasses", "inspect", "logging", "ast", "dis", "tokenize"} == set()
+
+
 class TestClosedPipe:
     @pytest.mark.parametrize(
         "argv",
@@ -346,13 +403,11 @@ class TestClosedPipe:
         ids=["stats", "generate"],
     )
     def test_closed_stdout_exits_1_without_a_traceback(self, argv):
-        src = str(FIXTURES.parent / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         read_end, write_end = os.pipe()
         os.close(read_end)  # the reader has gone away before the first write
         try:
             done = subprocess.run([sys.executable, "-m", "codemix.cli", *argv], stdout=write_end,
-                                  stderr=subprocess.PIPE, env=env, timeout=60)
+                                  stderr=subprocess.PIPE, env=_child_env(), timeout=60)
         finally:
             os.close(write_end)
         assert done.returncode == 1

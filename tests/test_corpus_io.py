@@ -213,6 +213,8 @@ def _malformed_sentences():
             yield pytest.param(tuple(surfaces), (en,) * 3, ValueError, message, id=f"{name}-{where}")
     yield pytest.param(("a", "b"), (en,), ValueError, re.escape("2 surface(s) but 1 tag(s)"), id="unequal-lengths")
     yield pytest.param(("a", "b", "c"), (en, "HI", en), TypeError, "must be a LanguageTag, not str", id="str-tag")
+    yield pytest.param("ab", (en, en), TypeError, "surfaces must be a sequence, not one str", id="str-surfaces")
+    yield pytest.param(("a", "b"), "EN", TypeError, "tags must be a sequence, not one str", id="str-tags")
 
 
 class TestModelValidation:
@@ -220,7 +222,8 @@ class TestModelValidation:
     def test_sentence_rejects_malformed_tokens(self, surfaces, tags, error, message):
         with pytest.raises(error, match=message):
             Sentence(surfaces, tags)
-        if len(surfaces) == len(tags):  # Tokens cannot carry unequal columns
+        # Tokens cannot carry unequal columns, nor a column that is one str.
+        if len(surfaces) == len(tags) and str not in (type(surfaces), type(tags)):
             with pytest.raises(error, match=message):
                 Sentence.from_tokens(map(Token, surfaces, tags))
 

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import codecs
-import dataclasses
 import io
 import itertools
 import json
@@ -137,7 +136,7 @@ def test_switch_count_monotonicity(codes):
     ceiling = counts.tagged_tokens - 1
     previous = None
     for switches in range(0, ceiling + 1):
-        bumped = dataclasses.replace(counts, switch_count=switches)
+        bumped = counts._replace(switch_count=switches)
         metrics = metrics_from_counts(bumped)
         if previous is not None:
             assert metrics.switching_factor > previous.switching_factor
@@ -451,14 +450,14 @@ def test_report_json_equals_json_dumps_layout(report, weights):
 def test_report_json_rejects_non_finite_values(value):
     report = aggregate(make_corpus([["L1", "L2"], ["L1", "L2", "L2"]]))
     first, second = report.per_sentence
-    bad_row = dataclasses.replace(second, metrics=dataclasses.replace(second.metrics, cf2=value))
+    bad_row = second._replace(metrics=second.metrics._replace(cf2=value))
     with pytest.raises(ValueError, match=f"^sentence 1: CF2 is {value!r}, "):
-        render_report_json(dataclasses.replace(report, per_sentence=(first, bad_row)), DEFAULT_CONFIG, True)
+        render_report_json(report._replace(per_sentence=(first, bad_row)), DEFAULT_CONFIG, True)
     with pytest.raises(ValueError, match="JSON compliant"):
-        render_report_json(dataclasses.replace(report, cmi_all=value), DEFAULT_CONFIG)
+        render_report_json(report._replace(cmi_all=value), DEFAULT_CONFIG)
     # Finite values whose sum overflows are still printed.
-    huge = dataclasses.replace(second.metrics, cf1=1e308, cf2=1e308)
-    rendered = render_report_json(dataclasses.replace(report, per_sentence=(dataclasses.replace(first, metrics=huge),)),
+    huge = second.metrics._replace(cf1=1e308, cf2=1e308)
+    rendered = render_report_json(report._replace(per_sentence=(first._replace(metrics=huge),)),
                                   DEFAULT_CONFIG, per_sentence=True)
     assert '"CF2": 1e+308' in rendered
 

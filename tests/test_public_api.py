@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
+import pytest
+
 import codemix
 
 PUBLIC_NAMES = [
@@ -49,3 +54,68 @@ PUBLIC_NAMES = [
 def test_all_is_the_pinned_public_surface():
     assert sorted(codemix.__all__) == PUBLIC_NAMES
     assert [name for name in PUBLIC_NAMES if not hasattr(codemix, name)] == []
+
+
+def _value_instances() -> dict[str, tuple[object, str]]:
+    """One instance of each public value type, with the name of one of its fields."""
+    en = codemix.LanguageTag.language("EN")
+    sentence = codemix.Sentence(("a", "b"), (en, codemix.LanguageTag.language("HI")))
+    corpus = codemix.Corpus("c", (sentence,))
+    report = codemix.aggregate(corpus)
+    counts = codemix.count_sentence(sentence)
+    comparison = codemix.compare(report, report)
+    return {
+        "LanguageTag": (en, "code"),
+        "Token": (sentence.tokens[0], "surface"),
+        "Sentence": (sentence, "tags"),
+        "Corpus": (corpus, "sentences"),
+        "TagPolicy": (codemix.TagPolicy(), "language_codes"),
+        "MetricConfig": (codemix.MetricConfig(), "mix_weight"),
+        "GenSpec": (codemix.GenSpec(1, 2, 2), "seed"),
+        "SentenceCounts": (counts, "switch_count"),
+        "SentenceMetrics": (codemix.metrics_from_counts(counts), "cf2"),
+        "SentenceRecord": (report.per_sentence[0], "metrics"),
+        "LanguageDistributionRow": (report.distribution[0], "percentage"),
+        "IndexSummaryRow": (report.summary[0], "mean"),
+        "CorpusReport": (report, "cmi_all"),
+        "IndexComparison": (comparison.rows[0], "verdict"),
+        "CorpusComparison": (comparison, "rows"),
+    }
+
+
+VALUE_TYPES = sorted(_value_instances())
+# These hold a read-only view of a dict, which cannot be pickled.
+HOLDS_A_MAPPING = {"SentenceCounts", "SentenceRecord", "CorpusReport"}
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
+def test_value_types_are_immutable(name):
+    value, field = _value_instances()[name]
+    assert type(value) is getattr(codemix, name)
+    for attribute in (field, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, attribute, getattr(value, field))
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+
+
+@pytest.mark.parametrize("name", VALUE_TYPES)
+def test_value_types_copy_and_pickle_to_equal_values(name):
+    value, _ = _value_instances()[name]
+    assert copy.copy(value) == value
+    if name not in HOLDS_A_MAPPING:
+        assert pickle.loads(pickle.dumps(value)) == value
+
+
+@pytest.mark.parametrize(
+    "value, change",
+    [
+        (codemix.TagPolicy(), {"language_codes": {"UN"}}),
+        (codemix.MetricConfig(), {"mix_weight": -1.0}),
+        (codemix.GenSpec(1, 2, 2), {"language_count": 3}),
+    ],
+    ids=["TagPolicy", "MetricConfig", "GenSpec"],
+)
+def test_replace_checks_as_the_constructor_does(value, change):
+    with pytest.raises(ValueError):
+        value._replace(**change)
