@@ -40,6 +40,7 @@ SOURCES = {
     "cases_math": FIXTURES / "cases_math.tags",
     "cases_text": FIXTURES / "cases_text.tags",
     "synth7": GOLDEN / "synth7.tags",
+    "synth_mono_un": GOLDEN / "synth_mono_un.tags",
 }
 
 STDOUT_OUTPUTS = {
@@ -47,6 +48,7 @@ STDOUT_OUTPUTS = {
     "analyze_per_sentence.json": ["analyze", "--per-sentence"],
     "analyze_per_sentence_w30_70.json": ["analyze", "--per-sentence", "--weights", "30,70"],
     "analyze.csv": ["analyze", "--out", "csv"],
+    "analyze_w30_70.csv": ["analyze", "--out", "csv", "--weights", "30,70"],
     "stats.txt": ["stats"],
 }
 
