@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -22,8 +23,8 @@ from .corpus_io import TagPolicy, UnknownTagAction, _log_warning, _read_lines, _
 from .metrics import DEFAULT_CONFIG, MetricConfig, SentenceCounts, SentenceMetrics, _count_tags
 from .render import (
     _CSV_HEADER,
-    _csv_row,
-    _json_row,
+    _csv_body,
+    _json_body,
     _report_json_pieces,
     render_comparison_csv,
     render_comparison_json,
@@ -80,8 +81,8 @@ def _report(
     """Read, scan, count and fold one corpus (`-` is stdin) a line at a time; every failure names the file.
 
     The report is aggregate(parse_*_format(text)) without per_sentence and
-    without building a token; keep(index, counts, metrics) of each sentence
-    comes with it, if keep is given.
+    without building a token; keep(counts, metrics) of each sentence, shared
+    by every sentence with its signature, comes with it, if keep is given.
     """
     scan = _scan_inline if args.format == "inline" else _scan_column
     name = Path(path).stem
@@ -103,14 +104,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         config = _parse_weights(args.weights)
     except ValueError as exc:
         raise CliError(f"{args.file}: {exc}") from exc
+    # A kept row is the body shared by every sentence with its signature; the index is put in as it is written.
     if args.out == "csv":
-        _, rows = _report(args.file, args, config, _csv_row)
+        _, bodies = _report(args.file, args, config, _csv_body)
         sys.stdout.write(_CSV_HEADER)
-        sys.stdout.writelines(rows)
+        sys.stdout.writelines(map("{},{}".format, itertools.count(), bodies))
     else:
-        keep = _json_row if args.per_sentence else None
-        report, rows = _report(args.file, args, config, keep)
-        sys.stdout.writelines(_report_json_pieces(report, config, rows if keep else None))
+        keep = _json_body if args.per_sentence else None
+        report, bodies = _report(args.file, args, config, keep)
+        sys.stdout.writelines(_report_json_pieces(report, config, enumerate(bodies) if keep else None))
     return 0
 
 
@@ -137,7 +139,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
-    def pair(_: int, counts: SentenceCounts, metrics: SentenceMetrics) -> tuple[int, float]:
+    def pair(counts: SentenceCounts, metrics: SentenceMetrics) -> tuple[int, float]:
         return counts.total_tokens, getattr(metrics, args.index)
 
     _, pairs = _report(args.file, args, keep=pair)

@@ -67,6 +67,17 @@ class SentenceCounts(NamedTuple):
 
     __hash__ = None  # per_language is a mapping, which has no hash
 
+    def __reduce__(self) -> tuple:
+        # pickle cannot copy a read-only view, so the copy gets one of a plain dict.
+        return _sentence_counts, (*self[:3], dict(self.per_language), *self[4:])
+
+
+def _sentence_counts(
+    total: int, undefined: int, tagged: int, per_language: dict[str, int], languages: int, dominant: int, switches: int
+) -> SentenceCounts:
+    """SentenceCounts with a read-only view of per_language, as copy and pickle rebuild it."""
+    return SentenceCounts(total, undefined, tagged, MappingProxyType(per_language), languages, dominant, switches)
+
 
 class SentenceMetrics(NamedTuple):
     """All indices of one sentence, at full double precision."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .metrics import MetricConfig, SentenceCounts, SentenceMetrics
 from .stats import CorpusComparison, CorpusReport
@@ -25,11 +25,13 @@ def _sentence_values(m: SentenceMetrics) -> tuple[float, ...]:
 
 # One per-sentence JSON row, laid out as json.dumps(indent=2) lays it out inside
 # the report: index and counts, the seven indices rounded to 2 decimals, then
-# the same seven at full precision under "raw". str() of a float is
-# float.__repr__, which is what json prints for a finite float.
-_ROW = """\
-    {{
-      "index": {},
+# the same seven at full precision under "raw". The body, all but the head and
+# the index, is the same for every sentence with the same signature. str() of a
+# float is float.__repr__, which is what json prints for a finite float.
+_ROW_HEAD = """\
+    {
+      "index": """
+_ROW_BODY = """,
       "W": {},
       "u": {},
       "N": {},
@@ -53,15 +55,14 @@ _ROW = """\
     }}"""
 
 
-def _json_row(index: int, counts: SentenceCounts, metrics: SentenceMetrics) -> str:
-    """One sentence's "per_sentence" JSON row."""
+def _json_body(counts: SentenceCounts, metrics: SentenceMetrics) -> str:
+    """A sentence's "per_sentence" JSON row after its index; it reads only the signature fields of counts."""
     values = _sentence_values(metrics)
     if not math.isfinite(sum(values)):  # one test per row; finite values may sum to inf
         for name, value in zip(PER_SENTENCE_COLUMNS[5:], values):
             if not math.isfinite(value):
-                raise ValueError(f"sentence {index}: {name} is {value!r}, which JSON cannot hold")
-    return _ROW.format(
-        index,
+                raise ValueError(f"{name} is {value!r}, which JSON cannot hold")
+    return _ROW_BODY.format(
         counts.total_tokens,
         counts.undefined_tokens,
         counts.language_count,
@@ -71,14 +72,24 @@ def _json_row(index: int, counts: SentenceCounts, metrics: SentenceMetrics) -> s
     )
 
 
+def _json_row(index: int, counts: SentenceCounts, metrics: SentenceMetrics) -> tuple[int, str]:
+    """A sentence's index and _json_body, with a ValueError that names the sentence."""
+    try:
+        return index, _json_body(counts, metrics)
+    except ValueError as exc:
+        raise ValueError(f"sentence {index}: {exc}") from None
+
+
 def render_report_json(report: CorpusReport, config: MetricConfig, per_sentence: bool = False) -> str:
     """The report as JSON in json.dumps(indent=2) layout; a non-finite value raises ValueError."""
-    rows = [_json_row(r.index, r.counts, r.metrics) for r in report.per_sentence] if per_sentence else None
+    rows = (_json_row(r.index, r.counts, r.metrics) for r in report.per_sentence) if per_sentence else None
     return "".join(_report_json_pieces(report, config, rows))
 
 
-def _report_json_pieces(report: CorpusReport, config: MetricConfig, rows: list[str] | None) -> Iterator[str]:
-    """render_report_json in pieces, with rows from _json_row as "per_sentence" unless rows is None."""
+def _report_json_pieces(
+    report: CorpusReport, config: MetricConfig, rows: Iterable[tuple[int, str]] | None
+) -> Iterator[str]:
+    """render_report_json in pieces, with (index, _json_body) pairs as "per_sentence" unless rows is None."""
     payload: dict = {
         "corpus": report.corpus_name,
         "sentences": report.sentence_count,
@@ -114,18 +125,18 @@ def _report_json_pieces(report: CorpusReport, config: MetricConfig, rows: list[s
         return
     # The rows go in before the header's closing "\n}", where json puts a last key.
     yield f'{header[:-2]},\n  "per_sentence": ['
-    separator = "\n"
-    for row in rows:
-        yield separator
-        yield row
-        separator = ",\n"
-    yield "\n  ]\n}\n" if rows else "]\n}\n"
+    first, later = "\n" + _ROW_HEAD, ",\n" + _ROW_HEAD
+    separator = first
+    for index, body in rows:
+        yield f"{separator}{index}"
+        yield body
+        separator = later
+    yield "]\n}\n" if separator is first else "\n  ]\n}\n"
 
 
-def _csv_row(index: int, counts: SentenceCounts, metrics: SentenceMetrics) -> str:
-    """One sentence's line of the per-sentence CSV."""
+def _csv_body(counts: SentenceCounts, metrics: SentenceMetrics) -> str:
+    """A sentence's per-sentence CSV line after its index and comma; it reads only signature fields."""
     cells = [
-        str(index),
         str(counts.total_tokens),
         str(counts.undefined_tokens),
         str(counts.language_count),
@@ -136,7 +147,7 @@ def _csv_row(index: int, counts: SentenceCounts, metrics: SentenceMetrics) -> st
 
 
 def render_per_sentence_csv(report: CorpusReport) -> str:
-    return _CSV_HEADER + "".join([_csv_row(r.index, r.counts, r.metrics) for r in report.per_sentence])
+    return _CSV_HEADER + "".join([f"{r.index},{_csv_body(r.counts, r.metrics)}" for r in report.per_sentence])
 
 
 def render_comparison_json(comparison: CorpusComparison) -> str:

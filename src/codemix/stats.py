@@ -109,16 +109,25 @@ def aggregate(corpus: Corpus, config: MetricConfig = DEFAULT_CONFIG) -> CorpusRe
     The result is independent of evaluation order; only the per_sentence
     listing reflects the corpus ordering.
     """
-    report, records = _fold(corpus.name, map(count_sentence, corpus.sentences), config, SentenceRecord)
-    return report._replace(per_sentence=tuple(records))
+    counts = list(map(count_sentence, corpus.sentences))
+    report, metrics = _fold(corpus.name, counts, config, _metrics)
+    return report._replace(per_sentence=tuple(map(SentenceRecord, range(len(counts)), counts, metrics)))
 
 
-_Keep = Callable[[int, SentenceCounts, SentenceMetrics], T]
+def _metrics(_: SentenceCounts, metrics: SentenceMetrics) -> SentenceMetrics:
+    return metrics
+
+
+_Keep = Callable[[SentenceCounts, SentenceMetrics], T]
 
 # Summary values are buffered until there are this many, then folded into each
 # index's min, max and a few floats holding its exact sum. The buffer is a list of
 # the metrics' own float objects, so folding it creates no float.
 _CHUNK = 4096
+
+# At most this many signatures are remembered per fold; later new ones are
+# computed for each sentence that has them, so a fold's memory stays bounded.
+_MEMO_SIZE = 4096
 
 
 def _fold(
@@ -126,10 +135,16 @@ def _fold(
 ) -> tuple[CorpusReport, list[T]]:
     """The corpus report of a name and its sentences' counts, in corpus order, without per_sentence.
 
-    The fold holds nothing per sentence but what keep(index, counts, metrics)
-    returns for it, if keep is given; those results come back in order.
+    Every index is a function of a sentence's signature, its counts without
+    per_language, so each signature's metrics are computed once, on its first
+    sentence. keep(counts, metrics), if given, must read only signature fields
+    too: it is called once per signature, and its result stands for every
+    sentence with that signature. The fold holds nothing per sentence but a
+    reference to that shared result; the results come back in corpus order.
+    A ValueError from keep names the first sentence it was raised for.
     """
     kept: list[T] = []
+    memo: dict[tuple, tuple[tuple[float, ...], T | None]] = {}
     word_counts: dict[str, int] = {}
     sentence_counts: dict[str, int] = {}
     independent_words = independent_sentences = tokens = 0
@@ -140,17 +155,24 @@ def _fold(
     mixed = 0  # sentences with CMI > 0
     index = -1
     for index, sentence in enumerate(counts):
-        metrics = metrics_from_counts(sentence, config)
-        values.extend((metrics.cmi, metrics.cf1, metrics.cf2, metrics.cf3, float(sentence.total_tokens)))
-        tokens += sentence.total_tokens
-        for code, words in sentence.per_language.items():
+        total, undefined, tagged, per_language, languages, dominant, switches = sentence
+        signature = (total, undefined, tagged, languages, dominant, switches)
+        entry = memo.get(signature)
+        if entry is None:
+            entry = _evaluate(index, sentence, config, keep)
+            if len(memo) < _MEMO_SIZE:
+                memo[signature] = entry
+        summary, shared = entry
+        values.extend(summary)
+        tokens += total
+        for code, words in per_language.items():
             word_counts[code] = word_counts.get(code, 0) + words
             sentence_counts[code] = sentence_counts.get(code, 0) + 1
-        if sentence.undefined_tokens:
-            independent_words += sentence.undefined_tokens
+        if undefined:
+            independent_words += undefined
             independent_sentences += 1
         if keep is not None:
-            kept.append(keep(index, sentence, metrics))
+            kept.append(shared)
         if len(values) >= _CHUNK:
             mixed += _compress(values, low, high, sums)
     sentences = index + 1
@@ -189,6 +211,20 @@ def _fold(
         per_sentence=(),
     )
     return report, kept
+
+
+def _evaluate(
+    index: int, counts: SentenceCounts, config: MetricConfig, keep: _Keep | None
+) -> tuple[tuple[float, ...], T | None]:
+    """The summary values of a sentence's metrics, in SUMMARY_INDICES order, and keep's result for it."""
+    metrics = metrics_from_counts(counts, config)
+    summary = (metrics.cmi, metrics.cf1, metrics.cf2, metrics.cf3, float(counts.total_tokens))
+    if keep is None:
+        return summary, None
+    try:
+        return summary, keep(counts, metrics)
+    except ValueError as exc:
+        raise ValueError(f"sentence {index}: {exc}") from None
 
 
 def _compress(values: list[float], low: list[float], high: list[float], sums: list[list[float]]) -> int:

@@ -9,9 +9,16 @@ import tracemalloc
 
 import pytest
 
-from codemix import DEFAULT_CONFIG, MetricConfig, aggregate, parse_column_format, parse_inline_format
+from codemix import DEFAULT_CONFIG, MetricConfig, aggregate, parse_column_format, parse_inline_format, scatter_data
 from codemix.cli import main
-from codemix.render import render_report_json
+from codemix.render import (
+    _json_body,
+    _report_json_pieces,
+    render_per_sentence_csv,
+    render_report_json,
+    render_scatter_csv,
+    render_scatter_svg,
+)
 from conftest import FIXTURES
 
 GOLDEN_CASE6 = (FIXTURES.parent / "tests" / "golden" / "case6.analyze.json").read_text(encoding="utf-8")
@@ -351,6 +358,51 @@ class TestLargeInput:
         assert run(capsys, "stats", str(path)) == (1, "", f"error: {path}: {reason}\n")
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
         assert run(capsys, "stats", "-") == (1, "", f"error: -: {reason}\n")
+
+
+# `generate` flags for a corpus whose sentences mostly share a signature, and one whose sentences almost never do.
+SHARED_ROW_CORPORA = {
+    "repeats": ["--sentences", "400", "--words", "1:8", "--languages", "1", "--undefined-ratio", "0.6",
+                "--seed", "9"],
+    "distinct": ["--sentences", "60", "--words", "40:120", "--languages", "3", "--arrangement", "random",
+                 "--seed", "9"],
+}
+
+
+class TestSharedRows:
+    """The CLI formats one row body per signature and shares it; the library formats one row per record."""
+
+    @pytest.mark.parametrize("weights", ["50,50", "30,70"])
+    @pytest.mark.parametrize("corpus", SHARED_ROW_CORPORA)
+    def test_per_sentence_outputs_equal_the_library(self, capsys, tmp_path, corpus, weights):
+        _, text, _ = run(capsys, "generate", *SHARED_ROW_CORPORA[corpus])
+        path = tmp_path / f"{corpus}.tags"
+        path.write_text(text, encoding="utf-8")
+        sentences = parse_column_format(text, name=corpus)
+        config = MetricConfig(*map(float, weights.split(",")))
+        report = aggregate(sentences, config)
+        signatures = len({r.counts[:3] + r.counts[4:] for r in report.per_sentence})
+        assert signatures < len(sentences) / 10 if corpus == "repeats" else signatures == len(sentences)
+        json_out = run(capsys, "analyze", str(path), "--per-sentence", "--weights", weights)
+        assert json_out == (0, render_report_json(report, config, per_sentence=True), "")
+        csv_out = run(capsys, "analyze", str(path), "--out", "csv", "--weights", weights)
+        assert csv_out == (0, render_per_sentence_csv(report), "")
+        pairs = scatter_data(aggregate(sentences), "cf2")  # plot scores with the default weights
+        for target, render in (("csv", render_scatter_csv), ("svg", render_scatter_svg)):
+            written = tmp_path / f"plot.{target}"
+            assert run(capsys, "plot", str(path), "--index", "cf2", f"--{target}", str(written)) == (0, "", "")
+            assert written.read_text(encoding="utf-8") == render(pairs, "cf2")
+
+    def test_per_sentence_closes_alike_for_rows_in_a_list_in_an_iterator_or_none(self):
+        report = aggregate(parse_column_format("a\tEN\nb\tHI\n\nc\tEN\n"))
+        rows = [(r.index, _json_body(r.counts, r.metrics)) for r in report.per_sentence]
+        whole = render_report_json(report, DEFAULT_CONFIG, per_sentence=True)
+        assert "".join(_report_json_pieces(report, DEFAULT_CONFIG, rows)) == whole
+        assert "".join(_report_json_pieces(report, DEFAULT_CONFIG, iter(rows))) == whole
+        empty = json.dumps({**json.loads(render_report_json(report, DEFAULT_CONFIG)), "per_sentence": []}, indent=2)
+        for no_rows in ([], iter([])):
+            assert "".join(_report_json_pieces(report, DEFAULT_CONFIG, no_rows)) == empty + "\n"
+        assert render_report_json(report._replace(per_sentence=()), DEFAULT_CONFIG, True) == empty + "\n"
 
 
 def _child_env() -> dict[str, str]:

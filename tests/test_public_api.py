@@ -84,8 +84,6 @@ def _value_instances() -> dict[str, tuple[object, str]]:
 
 
 VALUE_TYPES = sorted(_value_instances())
-# These hold a read-only view of a dict, which cannot be pickled.
-HOLDS_A_MAPPING = {"SentenceCounts", "SentenceRecord", "CorpusReport"}
 
 
 @pytest.mark.parametrize("name", VALUE_TYPES)
@@ -102,9 +100,17 @@ def test_value_types_are_immutable(name):
 @pytest.mark.parametrize("name", VALUE_TYPES)
 def test_value_types_copy_and_pickle_to_equal_values(name):
     value, _ = _value_instances()[name]
-    assert copy.copy(value) == value
-    if name not in HOLDS_A_MAPPING:
-        assert pickle.loads(pickle.dumps(value)) == value
+    for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(copied) is type(value)
+        assert copied == value
+
+
+def test_copied_counts_keep_a_read_only_per_language():
+    counts, _ = _value_instances()["SentenceCounts"]
+    for copied in (copy.copy(counts), copy.deepcopy(counts), pickle.loads(pickle.dumps(counts))):
+        assert copied.per_language is not counts.per_language
+        with pytest.raises(TypeError):
+            copied.per_language["EN"] = 2
 
 
 @pytest.mark.parametrize(

@@ -1,22 +1,30 @@
 from __future__ import annotations
 
+import math
+import random
+import tracemalloc
 from statistics import fmean
+from types import MappingProxyType
 
 import pytest
 
 from codemix import (
     Arrangement,
     Corpus,
+    DEFAULT_CONFIG,
     GenSpec,
     IndexSummaryRow,
     MetricConfig,
+    SentenceCounts,
     aggregate,
     compare,
     generate,
     language_distribution,
+    metrics_from_counts,
     scatter_data,
 )
-from codemix.stats import _CHUNK, INDEPENDENT_LABEL, SUMMARY_INDICES, CorpusReport
+from codemix.render import _json_body
+from codemix.stats import _CHUNK, _MEMO_SIZE, INDEPENDENT_LABEL, SUMMARY_INDICES, CorpusReport, _fold
 from conftest import make_corpus
 
 
@@ -126,6 +134,107 @@ class TestAggregate:
         cmi = [r.metrics.cmi for r in report.per_sentence]
         assert report.cmi_all.hex() == fmean(cmi).hex()
         assert report.cmi_mixed.hex() == fmean([v for v in cmi if v > 0]).hex()
+
+
+def _counts(total: int, undefined: int, languages: int, dominant: int, switches: int) -> SentenceCounts:
+    """Counts with these fields and a per_language that matches them."""
+    tagged = total - undefined
+    rest = [0] * (languages - 1)
+    for i in range(tagged - dominant):
+        rest[i % len(rest)] += 1
+    per_language = {f"L{i + 1}": words for i, words in enumerate([dominant, *rest])}
+    return SentenceCounts(total, undefined, tagged, MappingProxyType(per_language), languages, dominant, switches)
+
+
+def _signature(counts: SentenceCounts) -> tuple:
+    return counts[:3] + counts[4:]
+
+
+def _distinct_counts(count: int, seed: int) -> list[SentenceCounts]:
+    """count SentenceCounts, no two with the same signature."""
+    rng = random.Random(seed)
+    found: dict[tuple, SentenceCounts] = {}
+    while len(found) < count:
+        total = rng.randint(1, 120)
+        undefined = rng.randint(0, total - 1)
+        tagged = total - undefined
+        languages = rng.randint(1, min(tagged, 4))
+        dominant = rng.randint(-(-tagged // languages), tagged - languages + 1)
+        counts = _counts(total, undefined, languages, dominant, rng.randint(languages - 1, tagged - 1))
+        found.setdefault(_signature(counts), counts)
+    return list(found.values())
+
+
+class TestSignatureMemo:
+    """stats._fold computes each signature's metrics, and keep's result, once per run."""
+
+    def test_more_signatures_than_the_memo_holds_match_unmemoised_metrics(self):
+        rng = random.Random(3)
+        distinct = _distinct_counts(_MEMO_SIZE + 1500, seed=3)
+        sentences = []
+        for i, counts in enumerate(distinct):  # each signature first, then repeats of earlier ones
+            sentences.append(counts)
+            if i % 2:
+                sentences.append(rng.choice(distinct[: i + 1]))
+        sentences.extend(rng.choices(distinct, k=2000))
+        config = MetricConfig(30.0, 70.0)
+        calls = []
+
+        def keep(counts, metrics):
+            calls.append(_signature(counts))
+            return _signature(counts), metrics
+
+        report, kept = _fold("memo", sentences, config, keep)
+        expected = [metrics_from_counts(counts, config) for counts in sentences]
+        assert [signature for signature, _ in kept] == [_signature(counts) for counts in sentences]
+        assert [[v.hex() for v in m] for _, m in kept] == [[v.hex() for v in m] for m in expected]
+        # keep runs once per remembered signature, and once per sentence for the others.
+        remembered = set(calls[:_MEMO_SIZE])
+        assert len(remembered) == _MEMO_SIZE
+        assert len(calls) == _MEMO_SIZE + sum(_signature(counts) not in remembered for counts in sentences)
+        for row in report.summary:
+            if row.index_name == "words_per_sentence":
+                values = [float(counts.total_tokens) for counts in sentences]
+            else:
+                values = [getattr(m, row.index_name) for m in expected]
+            assert (row.min.hex(), row.max.hex(), row.mean.hex()) == (
+                min(values).hex(), max(values).hex(), fmean(values).hex()
+            )
+        cmi = [m.cmi for m in expected]
+        assert report.cmi_all.hex() == fmean(cmi).hex()
+        assert report.cmi_mixed.hex() == fmean([v for v in cmi if v > 0]).hex()
+        assert report.token_count == sum(counts.total_tokens for counts in sentences)
+
+    def test_aggregate_records_keep_their_own_counts_and_share_metrics(self):
+        corpus = make_corpus([["EN", "HI"], ["BN", "TA"], ["EN", "HI"], ["EN", None]])
+        records = aggregate(corpus).per_sentence
+        assert [r.index for r in records] == [0, 1, 2, 3]
+        assert dict(records[1].counts.per_language) == {"BN": 1, "TA": 1}
+        assert records[0].metrics is records[1].metrics is records[2].metrics
+        assert records[3].metrics == metrics_from_counts(records[3].counts)
+
+    @pytest.mark.parametrize("first", [3, _MEMO_SIZE + 5], ids=["remembered", "past-the-cap"])
+    def test_a_non_finite_index_names_the_first_sentence_that_has_it(self, first):
+        good = _distinct_counts(first, seed=5)
+        bad = _counts(2, 0, 1, 2, 0)._replace(total_tokens=math.inf)  # LF = W / N is inf
+        sentences = [*good[:first], bad, *good[:10], bad]
+        with pytest.raises(ValueError, match=f"^sentence {first}: LF is inf, which JSON cannot hold$"):
+            _fold("bad", sentences, DEFAULT_CONFIG, _json_body)
+
+    def test_peak_memory_stops_growing_at_the_memo_size(self):
+        def distinct(count):  # made one at a time, so that the input holds no memory
+            return (_counts(total, 0, 2, total - 1, 1) for total in range(2, count + 2))
+
+        _fold("warm-up", distinct(10), DEFAULT_CONFIG)
+        peaks = {}
+        for multiple in (2, 6):
+            tracemalloc.start()
+            try:
+                _fold("distinct", distinct(multiple * _MEMO_SIZE), DEFAULT_CONFIG)
+                peaks[multiple] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[6] <= 1.25 * peaks[2], peaks
 
 
 class TestScatterData:
