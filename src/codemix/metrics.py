@@ -73,10 +73,10 @@ class SentenceCounts(NamedTuple):
 
 
 def _sentence_counts(
-    total: int, undefined: int, tagged: int, per_language: dict[str, int], languages: int, dominant: int, switches: int
+    total: int, undefined: int, tagged: int, per_language: dict[str, int], *rest: int
 ) -> SentenceCounts:
     """SentenceCounts with a read-only view of per_language, as copy and pickle rebuild it."""
-    return SentenceCounts(total, undefined, tagged, MappingProxyType(per_language), languages, dominant, switches)
+    return SentenceCounts(total, undefined, tagged, MappingProxyType(per_language), *rest)
 
 
 class SentenceMetrics(NamedTuple):
