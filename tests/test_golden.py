@@ -50,6 +50,7 @@ STDOUT_OUTPUTS = {
     "analyze.csv": ["analyze", "--out", "csv"],
     "analyze_w30_70.csv": ["analyze", "--out", "csv", "--weights", "30,70"],
     "stats.txt": ["stats"],
+    "analyze_tiny_weights.json": ["analyze", "--weights", "5e-324,1e-300"],
 }
 
 COMPARE_PAIRS = [("cases_text", "cases_math"), ("case6", "synth7")]
