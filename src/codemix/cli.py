@@ -170,7 +170,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         undefined_ratio=args.undefined_ratio,
         seed=args.seed,
     )
-    sys.stdout.write(_column_text(spec))
+    sys.stdout.writelines(_column_text(spec))
     return 0
 
 

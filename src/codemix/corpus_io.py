@@ -75,6 +75,8 @@ class TagPolicy(namedtuple("TagPolicy", ("language_codes", "unknown_tag_action")
         language_codes: Iterable[str] = DEFAULT_LANGUAGES,
         unknown_tag_action: UnknownTagAction = UnknownTagAction.ERROR,
     ) -> TagPolicy:
+        if isinstance(language_codes, str):  # it would be split into one-letter codes
+            raise TypeError("language_codes must be a collection of codes, not one str")
         codes = frozenset(LanguageTag.language(c).code for c in language_codes)
         overlap = codes & _ALIAS_REASONS.keys()
         if overlap:

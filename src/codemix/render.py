@@ -15,12 +15,9 @@ from .metrics import MetricConfig, SentenceCounts, SentenceMetrics
 from .stats import CorpusComparison, CorpusReport
 
 # The per-sentence CSV contract: exactly these columns, in this order.
+# The last seven columns are the fields of SentenceMetrics, in its order.
 PER_SENTENCE_COLUMNS = ("index", "W", "u", "N", "S", "LF", "SF", "MF", "CMI", "CF1", "CF2", "CF3")
 _CSV_HEADER = ",".join(PER_SENTENCE_COLUMNS) + "\n"
-
-
-def _sentence_values(m: SentenceMetrics) -> tuple[float, ...]:
-    return (m.language_factor, m.switching_factor, m.mix_factor, m.cmi, m.cf1, m.cf2, m.cf3)
 
 
 # One per-sentence JSON row, laid out as json.dumps(indent=2) lays it out inside
@@ -57,9 +54,8 @@ _ROW_BODY = """,
 
 def _json_body(counts: SentenceCounts, metrics: SentenceMetrics) -> str:
     """A sentence's "per_sentence" JSON row after its index; it reads only the signature fields of counts."""
-    values = _sentence_values(metrics)
-    if not math.isfinite(sum(values)):  # one test per row; finite values may sum to inf
-        for name, value in zip(PER_SENTENCE_COLUMNS[5:], values):
+    if not math.isfinite(sum(metrics)):  # one test per row; finite values may sum to inf
+        for name, value in zip(PER_SENTENCE_COLUMNS[5:], metrics):
             if not math.isfinite(value):
                 raise ValueError(f"{name} is {value!r}, which JSON cannot hold")
     return _ROW_BODY.format(
@@ -67,8 +63,8 @@ def _json_body(counts: SentenceCounts, metrics: SentenceMetrics) -> str:
         counts.undefined_tokens,
         counts.language_count,
         counts.switch_count,
-        *[round(value, 2) for value in values],
-        *values,
+        *[round(value, 2) for value in metrics],
+        *metrics,
     )
 
 
@@ -142,7 +138,7 @@ def _csv_body(counts: SentenceCounts, metrics: SentenceMetrics) -> str:
         str(counts.language_count),
         str(counts.switch_count),
     ]
-    cells.extend(f"{value:.2f}" for value in _sentence_values(metrics))
+    cells.extend(f"{value:.2f}" for value in metrics)
     return ",".join(cells) + "\n"
 
 

@@ -120,13 +120,9 @@ def _metrics(_: SentenceCounts, metrics: SentenceMetrics) -> SentenceMetrics:
 
 _Keep = Callable[[SentenceCounts, SentenceMetrics], T]
 
-# Summary values are buffered until there are this many, then folded into each
-# index's min, max and a few floats holding its exact sum. The buffer is a list of
-# the metrics' own float objects, so folding it creates no float.
-_CHUNK = 4096
-
-# At most this many signatures are remembered per fold; later new ones are
-# computed for each sentence that has them, so a fold's memory stays bounded.
+# At most this many signatures are remembered per fold; a later new one is
+# folded in, and its metrics computed, for each sentence that has it, so a
+# fold's memory stays bounded.
 _MEMO_SIZE = 4096
 
 
@@ -137,33 +133,45 @@ def _fold(
 
     Every index is a function of a sentence's signature, its counts without
     per_language, so each signature's metrics are computed once, on its first
-    sentence. keep(counts, metrics), if given, must read only signature fields
-    too: it is called once per signature, and its result stands for every
-    sentence with that signature. The fold holds nothing per sentence but a
-    reference to that shared result; the results come back in corpus order.
-    A ValueError from keep names the first sentence it was raised for.
+    sentence, and its memo entry counts the sentences that have it; a repeat
+    costs one increment. keep(counts, metrics), if given, must read only
+    signature fields too: it is called once per signature, and its result
+    stands for every sentence with that signature. The fold holds nothing per
+    sentence but a reference to that shared result; the results come back in
+    corpus order. A ValueError from keep names the first sentence it was raised for.
+
+    Each index's sum is kept exactly, as an int in units of 2**-1074, the
+    smallest float step: an entry adds its values once, times its count, at
+    the end, and a signature past the memo's cap adds them at once. An int
+    quotient is correctly rounded, as math.fsum is, so each mean is statistics.fmean's.
     """
     kept: list[T] = []
-    memo: dict[tuple, tuple[tuple[float, ...], T | None]] = {}
+    memo: dict[tuple, list] = {}  # signature -> [summary values, keep's result, sentences that have it]
     word_counts: dict[str, int] = {}
     sentence_counts: dict[str, int] = {}
     independent_words = independent_sentences = tokens = 0
-    width = len(SUMMARY_INDICES)
-    values: list[float] = []  # the last sentences' summary values, one row each, in SUMMARY_INDICES order
-    low, high = [math.inf] * width, [-math.inf] * width
-    sums: list[list[float]] = [[] for _ in SUMMARY_INDICES]
+    low, high = [math.inf] * len(SUMMARY_INDICES), [-math.inf] * len(SUMMARY_INDICES)
+    sums = [0] * len(SUMMARY_INDICES)
     mixed = 0  # sentences with CMI > 0
     index = -1
     for index, sentence in enumerate(counts):
         total, undefined, tagged, per_language, languages, dominant, switches = sentence
         signature = (total, undefined, tagged, languages, dominant, switches)
         entry = memo.get(signature)
-        if entry is None:
+        if entry is not None:
+            entry[2] += 1
+        else:
             entry = _evaluate(index, sentence, config, keep)
+            # In corpus order, so that of equal values (0.0 and -0.0) the one min() and max() pick stays.
+            for column, value in enumerate(entry[0]):
+                if value < low[column]:
+                    low[column] = value
+                if value > high[column]:
+                    high[column] = value
             if len(memo) < _MEMO_SIZE:
                 memo[signature] = entry
-        summary, shared = entry
-        values.extend(summary)
+            else:
+                mixed += _add(sums, entry)
         tokens += total
         for code, words in per_language.items():
             word_counts[code] = word_counts.get(code, 0) + words
@@ -172,14 +180,12 @@ def _fold(
             independent_words += undefined
             independent_sentences += 1
         if keep is not None:
-            kept.append(shared)
-        if len(values) >= _CHUNK:
-            mixed += _compress(values, low, high, sums)
+            kept.append(entry[1])
     sentences = index + 1
     if not sentences:
         raise ValueError("empty corpus")
-    if values:
-        mixed += _compress(values, low, high, sums)
+    for entry in memo.values():
+        mixed += _add(sums, entry)
     distribution = [
         LanguageDistributionRow(
             language=code,
@@ -197,8 +203,7 @@ def _fold(
             percentage=100.0 * independent_words / tokens,
         )
     )
-    # fsum of the parts is fsum of the values they replaced, so each mean is statistics.fmean's.
-    totals = [math.fsum(parts) for parts in sums]
+    totals = [total / (1 << 1074) for total in sums]
     means = [total / sentences for total in totals]
     report = CorpusReport(
         corpus_name=name,
@@ -213,42 +218,28 @@ def _fold(
     return report, kept
 
 
-def _evaluate(
-    index: int, counts: SentenceCounts, config: MetricConfig, keep: _Keep | None
-) -> tuple[tuple[float, ...], T | None]:
-    """The summary values of a sentence's metrics, in SUMMARY_INDICES order, and keep's result for it."""
+def _evaluate(index: int, counts: SentenceCounts, config: MetricConfig, keep: _Keep | None) -> list:
+    """A new memo entry: a sentence's summary values, in SUMMARY_INDICES order, keep's result for it, and 1."""
     metrics = metrics_from_counts(counts, config)
     summary = (metrics.cmi, metrics.cf1, metrics.cf2, metrics.cf3, float(counts.total_tokens))
     if keep is None:
-        return summary, None
+        return [summary, None, 1]
     try:
-        return summary, keep(counts, metrics)
+        return [summary, keep(counts, metrics), 1]
     except ValueError as exc:
         raise ValueError(f"sentence {index}: {exc}") from None
 
 
-def _compress(values: list[float], low: list[float], high: list[float], sums: list[list[float]]) -> int:
-    """Folds rows of summary values into each column's min, max and exact-sum parts, and empties values.
+def _add(sums: list[int], entry: list) -> int:
+    """Adds an entry's summary values, times its count, to sums, in units of 2**-1074.
 
-    Returns how many rows have a CMI, their first value, above 0.
+    Returns how many sentences that is if its CMI, the first value, is above 0, else 0.
     """
-    width = len(low)
-    for column_index in range(width):
-        column = values[column_index::width]
-        low[column_index] = min(low[column_index], min(column))
-        high[column_index] = max(high[column_index], max(column))
-        sums[column_index] = _exact_parts(sums[column_index] + column)
-    mixed = len(values) // width - values[::width].count(0.0)
-    values.clear()
-    return mixed
-
-
-def _exact_parts(values: list[float]) -> list[float]:
-    """A few floats whose exact sum is that of values, so math.fsum gives the same for both."""
-    parts: list[float] = []
-    while residual := math.fsum(values + [-part for part in parts]):
-        parts.append(residual)
-    return parts
+    summary, _, count = entry
+    for column, value in enumerate(summary):
+        numerator, denominator = value.as_integer_ratio()  # denominator is 2**k, k <= 1074
+        sums[column] += count * numerator << 1075 - denominator.bit_length()
+    return count if summary[0] > 0 else 0
 
 
 def scatter_data(report: CorpusReport, index_name: str) -> list[tuple[int, float]]:

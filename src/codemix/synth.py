@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from collections import namedtuple
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .corpus_io import parse_column_format
 from .model import Corpus
@@ -144,23 +144,21 @@ def _language_pattern(tagged: int, languages: int, arrangement: Arrangement, rng
     return [rng.below(languages) for _ in range(tagged)]
 
 
-def _column_text(spec: GenSpec) -> str:
-    """The COLUMN text of the sentences a spec describes, drawn in one pass."""
+def _column_text(spec: GenSpec) -> Iterator[str]:
+    """The COLUMN text of the sentences a spec describes, one sentence at a time, drawn in one pass."""
     rng = Xoshiro256StarStar(spec.seed)
     lo, hi = spec.word_range
     codes = [f"L{i + 1}" for i in range(spec.language_count)]
-    lines = []
     for _ in range(spec.sentence_count):
         total = lo if lo == hi else lo + rng.below(hi - lo + 1)
         u = min(int(spec.undefined_ratio * total + 1e-9), total - 1)
         holes = _undefined_positions(total, u)
         pattern = iter(_language_pattern(total - u, spec.language_count, spec.arrangement, rng))
-        for position in range(total):
-            lines.append(f"w{position}\t{'UN' if position in holes else codes[next(pattern)]}\n")
+        lines = [f"w{position}\t{'UN' if position in holes else codes[next(pattern)]}\n" for position in range(total)]
         lines.append("\n")
-    return "".join(lines)
+        yield "".join(lines)
 
 
 def generate(spec: GenSpec) -> Corpus:
     """The corpus a spec describes, parsed from its COLUMN text; deterministic for a fixed seed."""
-    return parse_column_format(_column_text(spec), name="synthetic")
+    return parse_column_format("".join(_column_text(spec)), name="synthetic")

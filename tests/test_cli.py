@@ -116,7 +116,7 @@ class TestAnalyze:
         text = "a\tEN\nb\tHI\n\n" * 4
         src = tmp_path / "four.tags"
         src.write_text(text, encoding="utf-8")
-        reason = "the corpus sum of an index overflows: intermediate overflow in fsum"
+        reason = "the corpus sum of an index overflows: integer division result too large for a float"
         for options in ([], ["--per-sentence"], ["--out", "csv"]):
             argv = ["analyze", str(src), "--weights", "1e308,1e307", *options]
             assert run(capsys, *argv) == (1, "", f"error: {src}: {reason}\n")
@@ -486,3 +486,18 @@ class TestMemory:
                 assert code == 0
         for command in ("stats", "compare"):
             assert peaks[command, 8000] <= 1.25 * peaks[command, 1000], peaks
+
+    def test_generate_peak_does_not_grow_with_the_corpus(self, monkeypatch):
+        peaks = {}
+        with open(os.devnull, "w", encoding="utf-8") as devnull:
+            monkeypatch.setattr(sys, "stdout", devnull)
+            for sentences in (10, 1000, 8000):  # the first call's caches are not the corpus's
+                tracemalloc.start()
+                try:
+                    code = main(["generate", "--sentences", str(sentences), "--words", "4:30", "--languages", "3",
+                                 "--arrangement", "random", "--undefined-ratio", "0.1", "--seed", "7"])
+                    peaks[sentences] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert code == 0
+        assert peaks[8000] <= 1.25 * peaks[1000], peaks

@@ -55,6 +55,14 @@ class TestNormalizeTag:
         with pytest.raises(ValueError):
             TagPolicy(language_codes=frozenset({"X", "EN"}))
 
+    def test_policy_rejects_one_str_as_the_registry(self):
+        # "EN" would otherwise be the registry {"E", "N"}.
+        with pytest.raises(TypeError, match=r"^language_codes must be a collection of codes, not one str$"):
+            TagPolicy("EN")
+        with pytest.raises(TypeError, match="not one str"):
+            TagPolicy()._replace(language_codes="EN")
+        assert TagPolicy(["EN"]).language_codes == {"EN"}
+
     def test_policy_rejects_malformed_codes(self):
         with pytest.raises(ValueError, match=r"^malformed language code: 'E N'$"):
             TagPolicy(language_codes=frozenset({"e n", "EN"}))

@@ -42,7 +42,7 @@ from codemix import (
 )
 from codemix import cli, corpus_io
 from codemix.metrics import _arctan_divisor, _linear_divisor
-from codemix.stats import _CHUNK, CorpusComparison, IndexComparison, _compress
+from codemix.stats import _MEMO_SIZE, INDEX_NAMES, CorpusComparison, IndexComparison, _fold
 from codemix.render import (
     render_comparison_json,
     render_distribution_table,
@@ -470,25 +470,32 @@ def test_comparison_json_rejects_non_finite_values(value):
 
 
 # Values for the streamed summary: subnormals, signed zeros, 1/3 and magnitudes
-# up to 1e300, low enough that no sum of 9000 of them overflows.
+# up to 1e300, low enough that no sum of 50000 of them overflows.
 summary_floats = st.sampled_from([5e-324, -5e-324, 0.0, -0.0, 1 / 3, 1e300, -1e300]) | st.floats(-1e300, 1e300)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
-    st.sampled_from([_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK, 2 * _CHUNK + 1]) | st.integers(1, 9000),
+    st.sampled_from([_MEMO_SIZE - 1, _MEMO_SIZE, _MEMO_SIZE + 1, 2 * _MEMO_SIZE + 1]) | st.integers(1, 300),
     st.lists(summary_floats, min_size=1, max_size=6),
     st.integers(0, 2**32),
 )
-def test_streamed_summary_equals_fmean_min_max(length, pool, seed):
+def test_streamed_summary_equals_fmean_min_max(signatures, pool, seed):
+    # (value, count) pairs: one signature per value, with every index equal to
+    # it, and count sentences that have it, shuffled into one corpus.
     rng = random.Random(seed)
-    values = [rng.choice(pool) * (rng.random() if rng.random() < 0.5 else 1.0) for _ in range(length)]
-    low, high, sums, buffer = [math.inf], [-math.inf], [[]], []
-    for value in values:  # as stats._fold buffers one index
-        buffer.append(value)
-        if len(buffer) >= _CHUNK:
-            _compress(buffer, low, high, sums)
-    if buffer:
-        _compress(buffer, low, high, sums)
-    streamed = (low[0], high[0], math.fsum(sums[0]) / length)
-    assert [x.hex() for x in streamed] == [min(values).hex(), max(values).hex(), fmean(values).hex()]
+    values = [rng.choice(pool) * (rng.random() if rng.random() < 0.5 else 1.0) for _ in range(signatures)]
+    repeats = [rng.randint(4, 100) if rng.random() < 0.02 else rng.randint(1, 3) for _ in range(signatures)]
+    sentences = [
+        counts
+        for switches, count in enumerate(repeats)
+        for counts in [SentenceCounts(1, 0, 1, {}, 1, 1, switches)] * count
+    ]
+    rng.shuffle(sentences)
+    with mock.patch("codemix.stats.metrics_from_counts", lambda counts, _: SentenceMetrics(*[values[counts[6]]] * 7)):
+        report, _ = _fold("pairs", sentences, DEFAULT_CONFIG)
+    expanded = [values[counts.switch_count] for counts in sentences]
+    expected = [min(expanded).hex(), max(expanded).hex(), fmean(expanded).hex()]
+    for index_name in INDEX_NAMES:
+        row = report.summary_row(index_name)
+        assert [row.min.hex(), row.max.hex(), row.mean.hex()] == expected

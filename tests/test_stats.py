@@ -24,7 +24,7 @@ from codemix import (
     scatter_data,
 )
 from codemix.render import _json_body
-from codemix.stats import _CHUNK, _MEMO_SIZE, INDEPENDENT_LABEL, SUMMARY_INDICES, CorpusReport, _fold
+from codemix.stats import _MEMO_SIZE, INDEPENDENT_LABEL, CorpusReport, _fold
 from conftest import make_corpus
 
 
@@ -122,9 +122,9 @@ class TestAggregate:
         with pytest.raises(ValueError):
             aggregate(empty)
 
-    def test_summary_folded_in_chunks_equals_statistics_over_the_records(self):
+    def test_summary_folded_over_repeated_signatures_equals_statistics_over_the_records(self):
         report = aggregate(generate(GenSpec(3000, (3, 12), 3, Arrangement.RANDOM, 0.2, seed=11)))
-        assert report.sentence_count * len(SUMMARY_INDICES) > 3 * _CHUNK
+        assert len({_signature(r.counts) for r in report.per_sentence}) < report.sentence_count // 10
         for row in report.summary:
             if row.index_name == "words_per_sentence":
                 values = [float(r.counts.total_tokens) for r in report.per_sentence]
