@@ -154,7 +154,9 @@ def _column_text(spec: GenSpec) -> Iterator[str]:
         u = min(int(spec.undefined_ratio * total + 1e-9), total - 1)
         holes = _undefined_positions(total, u)
         pattern = iter(_language_pattern(total - u, spec.language_count, spec.arrangement, rng))
-        lines = [f"w{position}\t{'UN' if position in holes else codes[next(pattern)]}\n" for position in range(total)]
+        lines = []
+        for position in range(total):
+            lines.append(f"w{position}\t{'UN' if position in holes else codes[next(pattern)]}\n")
         lines.append("\n")
         yield "".join(lines)
 
