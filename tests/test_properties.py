@@ -470,7 +470,7 @@ def test_comparison_json_rejects_non_finite_values(value):
 
 
 # Values for the streamed summary: subnormals, signed zeros, 1/3 and magnitudes
-# up to 1e300, low enough that no sum of 50000 of them overflows.
+# up to 1e300, low enough that no sum of a million of them overflows.
 summary_floats = st.sampled_from([5e-324, -5e-324, 0.0, -0.0, 1 / 3, 1e300, -1e300]) | st.floats(-1e300, 1e300)
 
 
@@ -492,7 +492,11 @@ def test_streamed_summary_equals_fmean_min_max(signatures, pool, seed):
         for counts in [SentenceCounts(1, 0, 1, {}, 1, 1, switches)] * count
     ]
     rng.shuffle(sentences)
-    with mock.patch("codemix.stats.metrics_from_counts", lambda counts, _: SentenceMetrics(*[values[counts[6]]] * 7)):
+
+    def metrics(counts, _):
+        return SentenceMetrics(*[values[counts.switch_count]] * 7)
+
+    with mock.patch("codemix.stats.metrics_from_counts", metrics):
         report, _ = _fold("pairs", sentences, DEFAULT_CONFIG)
     expanded = [values[counts.switch_count] for counts in sentences]
     expected = [min(expanded).hex(), max(expanded).hex(), fmean(expanded).hex()]
