@@ -242,3 +242,17 @@ class TestModelValidation:
         assert hash(LanguageTag.undefined(UndefinedReason.NAMED_ENTITY)) == hash(
             LanguageTag.undefined(UndefinedReason.SYMBOL)
         )
+
+    def test_reprs_and_comparison_with_another_type(self):
+        en, named = LanguageTag.language("EN"), LanguageTag.undefined(UndefinedReason.NAMED_ENTITY)
+        sentence = Sentence(("hi", "Delhi"), (en, named))
+        corpus = Corpus("day", (sentence,))
+        assert repr(en) == "LanguageTag(EN)"
+        assert repr(named) == "LanguageTag(undefined:NE)"
+        assert repr(sentence) == "Sentence(surfaces=('hi', 'Delhi'), tags=(LanguageTag(EN), LanguageTag(undefined:NE)))"
+        assert repr(corpus) == f"Corpus(name='day', sentences=({sentence!r},))"
+        # Each value against its own compared fields, and against a value of another model type.
+        for value, other in ((en, "EN"), (sentence, (sentence.surfaces, sentence.tags)), (corpus, corpus.sentences),
+                             (sentence, corpus), (en, sentence)):
+            assert value.__eq__(other) is NotImplemented
+            assert (value == other, other == value, value != other) == (False, False, True)
