@@ -53,12 +53,22 @@ STDOUT_OUTPUTS = {
     "analyze_tiny_weights.json": ["analyze", "--weights", "5e-324,1e-300"],
 }
 
+# INLINE copies of two sources, written once by write_corpus(..., CorpusFormat.INLINE). Each has
+# its source's stem, so read with --format inline it must print its source's golden bytes.
+INLINE_SOURCES = {name: GOLDEN / "inline" / f"{name}.tags" for name in ("cases_text", "synth7")}
+
 COMPARE_PAIRS = [("cases_text", "cases_math"), ("case6", "synth7")]
 
 
 def stdout_bytes(capsys, argv: list[str]) -> bytes:
     assert main(argv) == 0
     return capsys.readouterr().out.encode("utf-8")
+
+
+def plot_bytes(tmp_path, source: Path, target: str, *flags: str) -> bytes:
+    written = tmp_path / f"plot.{target}"
+    assert main(["plot", str(source), *flags, "--index", "cf2", f"--{target}", str(written)]) == 0
+    return written.read_bytes()
 
 
 def test_generate(capsys):
@@ -95,7 +105,20 @@ def test_compare(capsys, pair, out):
 
 @pytest.mark.parametrize("source", SOURCES)
 @pytest.mark.parametrize("target", ["svg", "csv"])
-def test_plot(capsys, tmp_path, source, target):
-    written = tmp_path / f"plot.{target}"
-    assert main(["plot", str(SOURCES[source]), "--index", "cf2", f"--{target}", str(written)]) == 0
-    assert written.read_bytes() == (GOLDEN / f"{source}.plot_cf2.{target}").read_bytes()
+def test_plot(tmp_path, source, target):
+    assert plot_bytes(tmp_path, SOURCES[source], target) == (GOLDEN / f"{source}.plot_cf2.{target}").read_bytes()
+
+
+@pytest.mark.parametrize("source", INLINE_SOURCES)
+@pytest.mark.parametrize("output", STDOUT_OUTPUTS)
+def test_inline_stdout(capsys, source, output):
+    command, *flags = STDOUT_OUTPUTS[output]
+    argv = [command, str(INLINE_SOURCES[source]), "--format", "inline", *flags]
+    assert stdout_bytes(capsys, argv) == (GOLDEN / f"{source}.{output}").read_bytes()
+
+
+@pytest.mark.parametrize("source", INLINE_SOURCES)
+@pytest.mark.parametrize("target", ["svg", "csv"])
+def test_inline_plot(tmp_path, source, target):
+    got = plot_bytes(tmp_path, INLINE_SOURCES[source], target, "--format", "inline")
+    assert got == (GOLDEN / f"{source}.plot_cf2.{target}").read_bytes()
