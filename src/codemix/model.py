@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import enum
 from itertools import repeat
+from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 
@@ -24,10 +25,25 @@ class _Immutable:
     """A slotted value whose fields are set once, by __init__ through object.__setattr__.
 
     Its __slots__ name the fields in __init__'s order, so copy and pickle
-    rebuild it through __init__, which checks it again.
+    rebuild it through __init__, which checks it again, and repr shows them.
+    Two values are equal, and hash alike, iff they are of one class and
+    their _compared fields are equal.
     """
 
     __slots__ = ()
+    _compared: attrgetter
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared(self) == self._compared(other)
+
+    def __hash__(self) -> int:
+        return hash(self._compared(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
 
     def __setattr__(self, name: str, *_: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -46,6 +62,7 @@ class LanguageTag(_Immutable):
     """
 
     __slots__ = ("code", "reason")
+    _compared = attrgetter("code")
     code: str | None
     reason: UndefinedReason | None
 
@@ -77,14 +94,6 @@ class LanguageTag(_Immutable):
     def is_undefined(self) -> bool:
         return self.code is None
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.code == other.code
-
-    def __hash__(self) -> int:
-        return hash(self.code)
-
     def __repr__(self) -> str:
         if self.is_language:
             return f"LanguageTag({self.code})"
@@ -112,6 +121,7 @@ class Sentence(_Immutable):
     """
 
     __slots__ = ("surfaces", "tags")
+    _compared = attrgetter("surfaces", "tags")
     surfaces: tuple[str, ...]
     tags: tuple[LanguageTag, ...]
 
@@ -150,17 +160,6 @@ class Sentence(_Immutable):
     def __len__(self) -> int:
         return len(self.surfaces)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.surfaces == other.surfaces and self.tags == other.tags
-
-    def __hash__(self) -> int:
-        return hash((self.surfaces, self.tags))
-
-    def __repr__(self) -> str:
-        return f"Sentence(surfaces={self.surfaces!r}, tags={self.tags!r})"
-
 
 class Corpus(_Immutable):
     """A named, ordered sentence collection; a sentence's position is its place in the tuple.
@@ -172,6 +171,7 @@ class Corpus(_Immutable):
     """
 
     __slots__ = ("name", "sentences")
+    _compared = attrgetter("sentences")
     name: str
     sentences: tuple[Sentence, ...]
 
@@ -181,14 +181,3 @@ class Corpus(_Immutable):
 
     def __len__(self) -> int:
         return len(self.sentences)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.sentences == other.sentences
-
-    def __hash__(self) -> int:
-        return hash(self.sentences)
-
-    def __repr__(self) -> str:
-        return f"Corpus(name={self.name!r}, sentences={self.sentences!r})"
