@@ -19,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from .corpus_io import TagPolicy, UnknownTagAction, _log_warning, _read_lines, _scan_column, _scan_inline, _Tags
+from .corpus_io import TagPolicy, UnknownTagAction, _read_lines, _scan_column, _scan_inline, _Tags
 from .metrics import DEFAULT_CONFIG, MetricConfig, SentenceCounts, SentenceMetrics, _count_tags
 from .render import (
     _CSV_HEADER,
@@ -42,11 +42,8 @@ class CliError(Exception):
 
 
 def _warn(message: str) -> None:
-    """A scanner's warning, on stderr as `warning: ...`; logging is imported and set up only for one."""
-    import logging
-
-    logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="warning: %(message)s")
-    _log_warning(message)
+    """A scanner's warning, which starts with the file's path, on stderr as `warning: ...`."""
+    sys.stderr.write(f"warning: {message}\n")
 
 
 def _build_policy(args: argparse.Namespace) -> TagPolicy:
@@ -78,19 +75,18 @@ def _parse_weights(raw: str) -> MetricConfig:
 def _report(
     path: str, args: argparse.Namespace, config: MetricConfig = DEFAULT_CONFIG, keep: _Keep | None = None
 ) -> tuple[CorpusReport, list]:
-    """Read, scan, count and fold one corpus (`-` is stdin) a line at a time; every failure names the file.
+    """Read, scan, count and fold one corpus (`-` is stdin) a line at a time; every failure and warning names the file.
 
     The report is aggregate(parse_*_format(text)) without per_sentence and
     without building a token; keep(counts, metrics) of each sentence, shared
     by every sentence with its signature, comes with it, if keep is given.
     """
     scan = _scan_inline if args.format == "inline" else _scan_column
-    name = Path(path).stem
     try:
         tags = _Tags(_build_policy(args))
         with contextlib.nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as binary:
-            counts = (_count_tags(sentence) for _, sentence in scan(_read_lines(binary), tags, name, _warn))
-            return _fold(name, counts, config, keep)
+            counts = (_count_tags(sentence) for _, sentence in scan(_read_lines(binary), tags, path, _warn))
+            return _fold(Path(path).stem, counts, config, keep)
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror or exc}") from exc
     except ValueError as exc:  # a bad policy flag, undecodable bytes, a ParseError or an empty corpus

@@ -341,14 +341,14 @@ class TestLargeInput:
         path = tmp_path / "large.txt"
         path.write_bytes(data)
         caplog.clear()
-        code, out, _ = run(capsys, "analyze", str(path), "--format", fmt, "--per-sentence")
-        cli_warnings = caplog.messages
-        assert code == 0 and cli_warnings and "skipped" in cli_warnings[0]
-        caplog.clear()
+        code, out, err = run(capsys, "analyze", str(path), "--format", fmt, "--per-sentence")
+        assert (code, caplog.messages) == (0, [])  # the CLI writes its warning itself
         parser = parse_inline_format if fmt == "inline" else parse_column_format
         report = aggregate(parser(data.decode("utf-8"), name="large"))
         assert out == render_report_json(report, DEFAULT_CONFIG, per_sentence=True)
-        assert caplog.messages == cli_warnings
+        [warning] = caplog.messages
+        assert warning.startswith("large: skipped ")
+        assert err == f"warning: {path}: {warning.removeprefix('large: ')}\n"
 
     def test_undecodable_byte_past_64_kib_gives_the_file_offset(self, capsys, monkeypatch, tmp_path):
         data = b"ok\tEN\n" * 20_000 + b"caf\xe9\tEN\n"
@@ -430,8 +430,17 @@ class TestWarningOnStderr:
             runs.append(subprocess.run(argv, capture_output=True, env=_child_env(), timeout=60))
         warned, plain = runs
         assert (warned.returncode, plain.returncode, plain.stderr) == (0, 0, b"")
-        assert warned.stderr == f"warning: skip: skipped {skipped} empty sentence(s)\n".encode()
+        skipped_path = tmp_path / "skip" / "skip.tags"
+        assert warned.stderr == f"warning: {skipped_path}: skipped {skipped} empty sentence(s)\n".encode()
         assert warned.stdout == plain.stdout
+
+    def test_compare_names_each_file_it_warns_about(self, capsys, tmp_path):
+        paths = [tmp_path / directory / "day.tags" for directory in ("a", "b")]
+        for path in paths:
+            path.parent.mkdir()
+            path.write_text("a\tEN\n\n\nb\tHI\n", encoding="utf-8")
+        code, _, err = run(capsys, "compare", *map(str, paths))
+        assert (code, err) == (0, "".join(f"warning: {path}: skipped 1 empty sentence(s)\n" for path in paths))
 
 
 class TestStartup:
