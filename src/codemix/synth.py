@@ -93,6 +93,7 @@ class GenSpec(
     """Recipe for a synthetic corpus; equal specs generate identical corpora.
 
     words is the number of tokens per sentence: an int, or an inclusive (min, max) range.
+    sentence_count, words, language_count and seed are ints; any other type is a TypeError.
     """
 
     __slots__ = ()
@@ -107,9 +108,14 @@ class GenSpec(
         seed: int = 0,
     ) -> GenSpec:
         spec = super().__new__(cls, sentence_count, words, language_count, arrangement, undefined_ratio, seed)
+        for field, value in (("sentence_count", sentence_count), ("language_count", language_count), ("seed", seed)):
+            if not isinstance(value, int):
+                raise TypeError(f"{field} must be an int, not {value!r}")
+        lo, hi = spec.word_range
+        if not (isinstance(lo, int) and isinstance(hi, int)):
+            raise TypeError(f"words must be an int or a (min, max) pair of ints, not {words!r}")
         if sentence_count < 1:
             raise ValueError("sentence_count must be >= 1")
-        lo, hi = spec.word_range
         if lo < 1 or hi < lo:
             raise ValueError(f"invalid words range: {words!r}")
         if language_count < 1:

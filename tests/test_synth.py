@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -91,6 +93,22 @@ class TestGenerate:
     def test_more_languages_than_words_rejected(self):
         with pytest.raises(ValueError):
             GenSpec(sentence_count=1, words=3, language_count=4)
+
+    @pytest.mark.parametrize(
+        "args, error, message",
+        [
+            ((0, 3, 1), ValueError, "sentence_count must be >= 1"),
+            ((1, (3, 2), 1), ValueError, "invalid words range: (3, 2)"),
+            ((1, 3, 0), ValueError, "language_count must be >= 1"),
+            ((2.5, 3, 1), TypeError, "sentence_count must be an int, not 2.5"),
+            ((1, (1.5, 3), 1), TypeError, "words must be an int or a (min, max) pair of ints, not (1.5, 3)"),
+            ((1, 3, 1.0), TypeError, "language_count must be an int, not 1.0"),
+            ((1, 3, 1, Arrangement.ALTERNATING, 0.0, 1.5), TypeError, "seed must be an int, not 1.5"),
+        ],
+    )
+    def test_invalid_spec_rejected_with_its_message(self, args, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            GenSpec(*args)
 
     def test_bad_ratio_rejected(self):
         with pytest.raises(ValueError):
