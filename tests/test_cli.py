@@ -182,6 +182,23 @@ class TestAnalyze:
             assert run(capsys, "analyze", "-") == (1 if expected_err else 0, expected_out, expected_err)
 
 
+class TestBadFlags:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["analyze", str(FIXTURES / "case6.tags"), "--weights", "1,2,3"],
+             f"{FIXTURES / 'case6.tags'}: --weights expects 'A,B', got '1,2,3'"),
+            (["analyze", str(FIXTURES / "case6.tags"), "--weights", "a,b"],
+             f"{FIXTURES / 'case6.tags'}: --weights expects two numbers, got 'a,b'"),
+            (["generate", "--sentences", "1", "--words", "3:", "--languages", "1"],
+             "--words expects N or MIN:MAX, got '3:'"),
+        ],
+        ids=["three-weights", "non-numeric-weights", "open-words-range"],
+    )
+    def test_bad_flag_value_is_one_error_line(self, capsys, argv, message):
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 class TestDeterminism:
     def test_analyze_json_and_csv_are_byte_stable(self, capsys):
         path = str(FIXTURES / "cases_text.tags")

@@ -188,6 +188,10 @@ class TestWriting:
         assert "OTHER" in text
         assert parse_column_format(text) == corpus
 
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ValueError, match=r"^unknown corpus format: 'column'$"):
+            write_corpus(make_corpus([["EN"]]), "column")
+
     def test_inline_rejects_space_in_surface(self):
         sentence = Sentence(surfaces=("a b",), tags=(LanguageTag.language("EN"),))
         corpus = Corpus(name="", sentences=(sentence,))
@@ -234,6 +238,18 @@ class TestModelValidation:
         if len(surfaces) == len(tags) and str not in (type(surfaces), type(tags)):
             with pytest.raises(error, match=message):
                 Sentence.from_tokens(map(Token, surfaces, tags))
+
+    @pytest.mark.parametrize(
+        "code, reason, message",
+        [
+            (None, None, "undefined tag requires a reason"),
+            ("EN", UndefinedReason.SYMBOL, "language tag cannot carry an undefined reason"),
+            ("en", None, "malformed language code: 'en'"),
+        ],
+    )
+    def test_tag_rejects_a_code_that_does_not_match_its_reason(self, code, reason, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LanguageTag(code, reason)
 
     def test_tag_equality_ignores_undefined_reason(self):
         assert LanguageTag.undefined(UndefinedReason.NAMED_ENTITY) == LanguageTag.undefined(UndefinedReason.SYMBOL)

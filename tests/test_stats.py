@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import tracemalloc
 from statistics import fmean
 from types import MappingProxyType
@@ -81,6 +82,11 @@ class TestAggregate:
         assert row.min == pytest.approx(27.5, abs=0.1)
         assert row.max == pytest.approx(67.5)
         assert row.mean == pytest.approx(47.5, abs=0.1)
+
+    def test_summary_row_rejects_an_unknown_index(self):
+        message = "unknown index 'lf'; expected one of cmi, cf1, cf2, cf3, words_per_sentence"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            aggregate(make_corpus([["EN"]])).summary_row("lf")
 
     def test_single_monolingual_sentence(self):
         report = aggregate(make_corpus([["EN"] * 4]))
