@@ -199,23 +199,6 @@ class TestBadFlags:
         assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
-class TestDeterminism:
-    def test_analyze_json_and_csv_are_byte_stable(self, capsys):
-        path = str(FIXTURES / "cases_text.tags")
-        _, json_a, _ = run(capsys, "analyze", path, "--per-sentence")
-        _, json_b, _ = run(capsys, "analyze", path, "--per-sentence")
-        assert json_a == json_b
-        _, csv_a, _ = run(capsys, "analyze", path, "--out", "csv")
-        _, csv_b, _ = run(capsys, "analyze", path, "--out", "csv")
-        assert csv_a == csv_b
-
-    def test_plot_svg_is_byte_stable(self, capsys, tmp_path):
-        out_a, out_b = tmp_path / "a.svg", tmp_path / "b.svg"
-        run(capsys, "plot", str(FIXTURES / "cases_math.tags"), "--index", "cf2", "--svg", str(out_a))
-        run(capsys, "plot", str(FIXTURES / "cases_math.tags"), "--index", "cf2", "--svg", str(out_b))
-        assert out_a.read_bytes() == out_b.read_bytes()
-
-
 class TestCompare:
     def test_identical_files_tie(self, capsys):
         path = str(FIXTURES / "case6.tags")
@@ -288,13 +271,6 @@ class TestGenerate:
         corpus = parse_column_format(out)
         assert len(corpus) == 3
         assert all(len(s) == 8 for s in corpus.sentences)
-
-    def test_generation_is_byte_stable(self, capsys):
-        argv = ["generate", "--sentences", "4", "--words", "3:9", "--languages", "3",
-                "--arrangement", "random", "--undefined-ratio", "0.2", "--seed", "77"]
-        _, out_a, _ = run(capsys, *argv)
-        _, out_b, _ = run(capsys, *argv)
-        assert out_a == out_b
 
     def test_generate_pipes_into_analyze_with_defaults(self, capsys, tmp_path):
         _, out, _ = run(capsys, "generate", "--sentences", "2", "--words", "6", "--languages", "3")
