@@ -132,9 +132,7 @@ class GenSpec(
 
     @property
     def word_range(self) -> tuple[int, int]:
-        if isinstance(self.words, int):
-            return self.words, self.words
-        return self.words
+        return self.words if isinstance(self.words, tuple) else (self.words, self.words)
 
 
 def _undefined_positions(total: int, count: int) -> set[int]:

@@ -102,6 +102,7 @@ class TestGenerate:
             ((1, 3, 0), ValueError, "language_count must be >= 1"),
             ((2.5, 3, 1), TypeError, "sentence_count must be an int, not 2.5"),
             ((1, (1.5, 3), 1), TypeError, "words must be an int or a (min, max) pair of ints, not (1.5, 3)"),
+            ((1, 2.5, 1), TypeError, "words must be an int or a (min, max) pair of ints, not 2.5"),
             ((1, 3, 1.0), TypeError, "language_count must be an int, not 1.0"),
             ((1, 3, 1, Arrangement.ALTERNATING, 0.0, 1.5), TypeError, "seed must be an int, not 1.5"),
         ],
