@@ -21,7 +21,8 @@ from codemix.render import (
 )
 from conftest import FIXTURES
 
-GOLDEN_CASE6 = (FIXTURES.parent / "tests" / "golden" / "case6.analyze.json").read_text(encoding="utf-8")
+GOLDEN = FIXTURES.parent / "tests" / "golden"
+GOLDEN_CASE6 = (GOLDEN / "case6.analyze.json").read_text(encoding="utf-8")
 
 
 def run(capsys, *argv):
@@ -353,25 +354,15 @@ class TestLargeInput:
         assert run(capsys, "stats", "-") == (1, "", f"error: -: {reason}\n")
 
 
-# `generate` flags for a corpus whose sentences mostly share a signature, and one whose sentences almost never do.
-SHARED_ROW_CORPORA = {
-    "repeats": ["--sentences", "400", "--words", "1:8", "--languages", "1", "--undefined-ratio", "0.6",
-                "--seed", "9"],
-    "distinct": ["--sentences", "60", "--words", "40:120", "--languages", "3", "--arrangement", "random",
-                 "--seed", "9"],
-}
-
-
 class TestSharedRows:
     """The CLI formats one row body per signature and shares it; the library formats one row per record."""
 
     @pytest.mark.parametrize("weights", ["50,50", "30,70"])
-    @pytest.mark.parametrize("corpus", SHARED_ROW_CORPORA)
+    @pytest.mark.parametrize("corpus", ["repeats", "distinct"])
     def test_per_sentence_outputs_equal_the_library(self, capsys, tmp_path, corpus, weights):
-        _, text, _ = run(capsys, "generate", *SHARED_ROW_CORPORA[corpus])
-        path = tmp_path / f"{corpus}.tags"
-        path.write_text(text, encoding="utf-8")
-        sentences = parse_column_format(text, name=corpus)
+        # Most sentences of repeats share a signature, and none of distinct's do; test_golden pins both.
+        path = GOLDEN / f"{corpus}.tags"
+        sentences = parse_column_format(path.read_text(encoding="utf-8"), name=corpus)
         config = MetricConfig(*map(float, weights.split(",")))
         report = aggregate(sentences, config)
         signatures = len({r.counts[:3] + r.counts[4:] for r in report.per_sentence})

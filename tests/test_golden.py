@@ -1,4 +1,4 @@
-"""Exact output bytes of every CLI subcommand, pinned to committed files.
+"""Exact output bytes of every CLI subcommand and of the library renderers, pinned to committed files.
 
 The files under tests/golden/ were written once by the CLI and are never
 rewritten by the tests: a change that moves any output byte fails here,
@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from codemix import MetricConfig, aggregate, parse_column_format, parse_inline_format
 from codemix.cli import main
+from codemix.render import render_per_sentence_csv, render_report_json
 from conftest import FIXTURES
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -28,6 +30,12 @@ GENERATE_SPECS = {
                       "--arrangement", "alternating", "--undefined-ratio", "0.6", "--seed", "5"],
     "synth_fixed5": ["--sentences", "6", "--words", "5", "--languages", "3",
                      "--arrangement", "random", "--undefined-ratio", "0.2", "--seed", "3"],
+    # Per-sentence rows that share a signature: 400 short monolingual sentences,
+    # most signatures repeated, and 60 long three-language ones, none repeated.
+    "repeats": ["--sentences", "400", "--words", "1:8", "--languages", "1", "--undefined-ratio", "0.6",
+                "--seed", "9"],
+    "distinct": ["--sentences", "60", "--words", "40:120", "--languages", "3", "--arrangement", "random",
+                 "--seed", "9"],
 }
 
 # One 10002-token sentence with a single switch: SF = 1/10001 is the only way a
@@ -58,6 +66,17 @@ STDOUT_OUTPUTS = {
 INLINE_SOURCES = {name: GOLDEN / "inline" / f"{name}.tags" for name in ("cases_text", "synth7")}
 
 COMPARE_PAIRS = [("cases_text", "cases_math"), ("case6", "synth7")]
+
+# The shared-row corpora are pinned for their per-sentence outputs only.
+SHARED_ROW_SOURCES = {name: GOLDEN / f"{name}.tags" for name in ("repeats", "distinct")}
+PER_SENTENCE_OUTPUTS = ("analyze_per_sentence.json", "analyze_per_sentence_w30_70.json",
+                        "analyze.csv", "analyze_w30_70.csv")
+
+# Every pinned corpus as (name, path, parser) for the library, which names a corpus as the CLI names its file.
+LIBRARY_SOURCES = [
+    *[(name, path, parse_column_format) for name, path in {**SOURCES, **SHARED_ROW_SOURCES}.items()],
+    *[(name, path, parse_inline_format) for name, path in INLINE_SOURCES.items()],
+]
 
 
 def stdout_bytes(capsys, argv: list[str]) -> bytes:
@@ -122,3 +141,25 @@ def test_inline_stdout(capsys, source, output):
 def test_inline_plot(tmp_path, source, target):
     got = plot_bytes(tmp_path, INLINE_SOURCES[source], target, "--format", "inline")
     assert got == (GOLDEN / f"{source}.plot_cf2.{target}").read_bytes()
+
+
+@pytest.mark.parametrize("source", SHARED_ROW_SOURCES)
+@pytest.mark.parametrize("output", PER_SENTENCE_OUTPUTS)
+def test_shared_row_stdout(capsys, source, output):
+    command, *flags = STDOUT_OUTPUTS[output]
+    argv = [command, str(SHARED_ROW_SOURCES[source]), *flags]
+    assert stdout_bytes(capsys, argv) == (GOLDEN / f"{source}.{output}").read_bytes()
+
+
+@pytest.mark.parametrize("weights", ["50,50", "30,70"])
+@pytest.mark.parametrize(
+    "name, path, parse", LIBRARY_SOURCES, ids=[f"{path.parent.name}/{name}" for name, path, _ in LIBRARY_SOURCES]
+)
+def test_library_renderers(name, path, parse, weights):
+    # parse -> aggregate -> render, as a library user runs it, prints the CLI's golden bytes.
+    config = MetricConfig(*map(float, weights.split(",")))
+    suffix = "" if weights == "50,50" else "_w30_70"
+    report = aggregate(parse(path.read_bytes().decode("utf-8"), name=name), config)
+    json_golden = GOLDEN / f"{name}.analyze_per_sentence{suffix}.json"
+    assert render_report_json(report, config, per_sentence=True).encode("utf-8") == json_golden.read_bytes()
+    assert render_per_sentence_csv(report).encode("utf-8") == (GOLDEN / f"{name}.analyze{suffix}.csv").read_bytes()
