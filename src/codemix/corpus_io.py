@@ -266,8 +266,11 @@ def _inline_reason(exc: ValueError, chunk: str, policy: TagPolicy) -> str:
     return f"{exc}: INLINE takes the text after the last '/' as the tag, so it cannot carry the code {code!r}"
 
 
-def _corpus(scan: Callable[[Iterable[str], _Tags, str], _Scan], text: str, policy: TagPolicy, name: str) -> Corpus:
-    sentences = tuple(itertools.starmap(Sentence, scan(text.split("\n"), _Tags(policy), name)))
+def _corpus(
+    scan: Callable[[Iterable[str], _Tags, str], _Scan], lines: Iterable[str], policy: TagPolicy, name: str
+) -> Corpus:
+    """The corpus of scanned lines; each sentence is checked once, by the scanner, and not again when it is built."""
+    sentences = tuple(itertools.starmap(Sentence._checked, scan(lines, _Tags(policy), name)))
     return Corpus(name=name, sentences=sentences)
 
 
@@ -277,12 +280,12 @@ def parse_column_format(text: str, policy: TagPolicy = DEFAULT_POLICY, name: str
     Empty sentences (consecutive blank lines) are skipped with a logged
     warning; every other irregularity is a ParseError.
     """
-    return _corpus(_scan_column, text, policy, name)
+    return _corpus(_scan_column, text.split("\n"), policy, name)
 
 
 def parse_inline_format(text: str, policy: TagPolicy = DEFAULT_POLICY, name: str = "") -> Corpus:
     """Parse INLINE text (one "surface/TAG ..." sentence per line) into a corpus."""
-    return _corpus(_scan_inline, text, policy, name)
+    return _corpus(_scan_inline, text.split("\n"), policy, name)
 
 
 def _tag_text(tag: LanguageTag) -> str:

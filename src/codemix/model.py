@@ -147,6 +147,14 @@ class Sentence(_Immutable):
         object.__setattr__(self, "tags", tags)
 
     @classmethod
+    def _checked(cls, surfaces: Iterable[str], tags: Iterable[LanguageTag]) -> "Sentence":
+        """A sentence of columns that a scanner has already checked as __init__ would; it checks nothing."""
+        sentence = object.__new__(cls)
+        object.__setattr__(sentence, "surfaces", tuple(surfaces))
+        object.__setattr__(sentence, "tags", tuple(tags))
+        return sentence
+
+    @classmethod
     def from_tokens(cls, tokens: Iterable[Token]) -> "Sentence":
         """The sentence of these tokens, in order, checked as any sentence is."""
         tokens = tuple(tokens)
@@ -166,8 +174,8 @@ class Corpus(_Immutable):
 
     Equality and hash compare sentences only: the name is metadata that the
     text formats do not carry, so it is excluded from round-trip identity.
-    Each sentence checks its surfaces and tags when it is built, so none is
-    walked here. len() counts its sentences.
+    Each sentence's surfaces and tags were checked when it was built, or by
+    the scanner that read them, so none is walked here. len() counts its sentences.
     """
 
     __slots__ = ("name", "sentences")

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .metrics import MetricConfig, SentenceCounts, SentenceMetrics
-from .stats import CorpusComparison, CorpusReport
+from .stats import _MEMO_SIZE, CorpusComparison, CorpusReport, SentenceRecord
 
 # The per-sentence CSV contract: exactly these columns, in this order.
 # The last seven columns are the fields of SentenceMetrics, in its order.
@@ -68,17 +68,35 @@ def _json_body(counts: SentenceCounts, metrics: SentenceMetrics) -> str:
     )
 
 
-def _json_row(index: int, counts: SentenceCounts, metrics: SentenceMetrics) -> tuple[int, str]:
-    """A sentence's index and _json_body, with a ValueError that names the sentence."""
-    try:
-        return index, _json_body(counts, metrics)
-    except ValueError as exc:
-        raise ValueError(f"sentence {index}: {exc}") from None
+def _rows(
+    records: Iterable[SentenceRecord], body: Callable[[SentenceCounts, SentenceMetrics], str]
+) -> Iterator[tuple[int, str]]:
+    """(index, body(counts, metrics)) for each record; a ValueError from body names the sentence.
+
+    body reads only W, u, N and S of counts, and aggregate hands every
+    sentence of a signature one SentenceMetrics object, so body runs once per
+    key of those four counts and the object's identity. Identity, not value:
+    in a report built by hand, equal values such as 0.0 and -0.0 are formatted
+    apart. At most _MEMO_SIZE keys are remembered: past that many signatures,
+    aggregate shares no new object.
+    """
+    memo: dict[tuple, str] = {}
+    for index, counts, metrics in records:
+        key = (counts.total_tokens, counts.undefined_tokens, counts.language_count, counts.switch_count, id(metrics))
+        text = memo.get(key)
+        if text is None:
+            try:
+                text = body(counts, metrics)
+            except ValueError as exc:
+                raise ValueError(f"sentence {index}: {exc}") from None
+            if len(memo) < _MEMO_SIZE:
+                memo[key] = text
+        yield index, text
 
 
 def render_report_json(report: CorpusReport, config: MetricConfig, per_sentence: bool = False) -> str:
     """The report as JSON in json.dumps(indent=2) layout; a non-finite value raises ValueError."""
-    rows = (_json_row(r.index, r.counts, r.metrics) for r in report.per_sentence) if per_sentence else None
+    rows = _rows(report.per_sentence, _json_body) if per_sentence else None
     return "".join(_report_json_pieces(report, config, rows))
 
 
@@ -143,7 +161,7 @@ def _csv_body(counts: SentenceCounts, metrics: SentenceMetrics) -> str:
 
 
 def render_per_sentence_csv(report: CorpusReport) -> str:
-    return _CSV_HEADER + "".join([f"{r.index},{_csv_body(r.counts, r.metrics)}" for r in report.per_sentence])
+    return _CSV_HEADER + "".join([f"{index},{body}" for index, body in _rows(report.per_sentence, _csv_body)])
 
 
 def render_comparison_json(comparison: CorpusComparison) -> str:

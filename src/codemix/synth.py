@@ -25,10 +25,11 @@ RNG. Uniform draws below a bound use rejection sampling (no modulo bias).
 from __future__ import annotations
 
 import enum
+import itertools
 from collections import namedtuple
 from typing import Iterable, Iterator
 
-from .corpus_io import parse_column_format
+from .corpus_io import DEFAULT_POLICY, _corpus, _scan_column
 from .model import Corpus
 
 _MASK64 = (1 << 64) - 1
@@ -111,9 +112,10 @@ class GenSpec(
         for field, value in (("sentence_count", sentence_count), ("language_count", language_count), ("seed", seed)):
             if not isinstance(value, int):
                 raise TypeError(f"{field} must be an int, not {value!r}")
-        lo, hi = spec.word_range
-        if not (isinstance(lo, int) and isinstance(hi, int)):
+        bounds = spec.word_range
+        if len(bounds) != 2 or not all(isinstance(bound, int) for bound in bounds):
             raise TypeError(f"words must be an int or a (min, max) pair of ints, not {words!r}")
+        lo, hi = bounds
         if sentence_count < 1:
             raise ValueError("sentence_count must be >= 1")
         if lo < 1 or hi < lo:
@@ -166,5 +168,10 @@ def _column_text(spec: GenSpec) -> Iterator[str]:
 
 
 def generate(spec: GenSpec) -> Corpus:
-    """The corpus a spec describes, parsed from its COLUMN text; deterministic for a fixed seed."""
-    return parse_column_format("".join(_column_text(spec)), name="synthetic")
+    """The corpus a spec describes, parsed from its COLUMN text; deterministic for a fixed seed.
+
+    The text is scanned a sentence at a time, as the lines of each sentence's
+    text, which ends in an LF; the whole text is never held at once.
+    """
+    lines = itertools.chain.from_iterable(text.split("\n")[:-1] for text in _column_text(spec))
+    return _corpus(_scan_column, lines, DEFAULT_POLICY, "synthetic")

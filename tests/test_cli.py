@@ -355,7 +355,7 @@ class TestLargeInput:
 
 
 class TestSharedRows:
-    """The CLI formats one row body per signature and shares it; the library formats one row per record."""
+    """The CLI and the library renderers both format one row body per signature and share it."""
 
     @pytest.mark.parametrize("weights", ["50,50", "30,70"])
     @pytest.mark.parametrize("corpus", ["repeats", "distinct"])

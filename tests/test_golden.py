@@ -11,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from codemix import MetricConfig, aggregate, parse_column_format, parse_inline_format
-from codemix.cli import main
+from codemix import Arrangement, GenSpec, MetricConfig, aggregate, generate, parse_column_format, parse_inline_format
+from codemix.cli import _parse_words, build_parser, main
 from codemix.render import render_per_sentence_csv, render_report_json
 from conftest import FIXTURES
 
@@ -98,6 +98,17 @@ def test_generate(capsys):
 def test_generate_spec(capsys, name):
     argv = ["generate", *GENERATE_SPECS[name]]
     assert stdout_bytes(capsys, argv) == (GOLDEN / f"{name}.tags").read_bytes()
+
+
+@pytest.mark.parametrize("name", GENERATE_SPECS)
+def test_library_generate_equals_the_parsed_cli_text(caplog, name):
+    # generate() scans the text a sentence at a time; it must equal a parse of the whole text, and skip nothing.
+    args = build_parser().parse_args(["generate", *GENERATE_SPECS[name]])
+    spec = GenSpec(args.sentences, _parse_words(args.words), args.languages, Arrangement(args.arrangement),
+                   args.undefined_ratio, args.seed)
+    expected = parse_column_format((GOLDEN / f"{name}.tags").read_text(encoding="utf-8"), name="synthetic")
+    assert repr(generate(spec)) == repr(expected)  # the name, tuples and each tag's reason too
+    assert caplog.messages == []
 
 
 @pytest.mark.parametrize("source", SOURCES)

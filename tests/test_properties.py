@@ -35,6 +35,7 @@ from codemix import (
     analyze_sentence,
     count_sentence,
     metrics_from_counts,
+    normalize_tag,
     parse_column_format,
     parse_inline_format,
     scatter_data,
@@ -44,6 +45,10 @@ from codemix import cli, corpus_io
 from codemix.metrics import _arctan_divisor, _linear_divisor
 from codemix.stats import _MEMO_SIZE, INDEX_NAMES, CorpusComparison, IndexComparison, _fold
 from codemix.render import (
+    _CSV_HEADER,
+    _csv_body,
+    _json_body,
+    _report_json_pieces,
     render_comparison_json,
     render_distribution_table,
     render_per_sentence_csv,
@@ -188,6 +193,28 @@ def test_round_trip_identity_both_formats(sentence_specs):
     corpus = Corpus(name="prop", sentences=tuple(sentences))
     assert parse_column_format(write_corpus(corpus, CorpusFormat.COLUMN)) == corpus
     assert parse_inline_format(write_corpus(corpus, CorpusFormat.INLINE)) == corpus
+
+
+raw_tags = st.sampled_from(["EN", "en", "Hi", "BN", "L1", "l2", "L10", "UN", "univ", "ne", "X", "MIX", "Other"])
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.lists(st.tuples(surfaces, raw_tags), min_size=1, max_size=6), min_size=1, max_size=4),
+    st.sampled_from(["\n", "\r\n"]),
+)
+def test_parsed_corpus_equals_one_built_with_public_sentences(sentence_specs, line_end):
+    # The scanners build sentences without checking them again; a checked Sentence(...) must be the same value.
+    expected = Corpus(
+        name="prop",
+        sentences=[Sentence([s for s, _ in spec], [normalize_tag(raw) for _, raw in spec]) for spec in sentence_specs],
+    )
+    column = "".join("".join(f"{s}\t{raw}{line_end}" for s, raw in spec) + line_end for spec in sentence_specs)
+    inline = "".join(" ".join(f"{s}/{raw}" for s, raw in spec) + line_end for spec in sentence_specs)
+    for parsed in (parse_column_format(column, name="prop"), parse_inline_format(inline, name="prop")):
+        assert parsed == expected
+        assert hash(parsed) == hash(expected)
+        assert repr(parsed) == repr(expected)  # tuples, not lists, and each undefined tag's reason
 
 
 any_tags = st.sampled_from(
@@ -444,6 +471,59 @@ def test_report_json_equals_json_dumps_layout(report, weights):
     payload = json.loads(render_report_json(report, config))  # the header, still json.dumps itself
     payload["per_sentence"] = [_sentence_dict(record) for record in report.per_sentence]
     assert render_report_json(report, config, per_sentence=True) == json.dumps(payload, indent=2) + "\n"
+
+
+def _csv_line(record: SentenceRecord) -> str:
+    """One per-sentence CSV line, cell by cell: the reference for the CSV row."""
+    counts = record.counts
+    ints = (record.index, counts.total_tokens, counts.undefined_tokens, counts.language_count, counts.switch_count)
+    return ",".join([*map(str, ints), *(f"{value:.2f}" for value in record.metrics)]) + "\n"
+
+
+@pytest.mark.parametrize("values", [(0.0, -0.0), (1 / 3, 2 / 3)], ids=["signed-zeros", "unequal"])
+def test_rows_render_apart_unless_they_share_counts_and_metrics_object(values):
+    # The renderers format one row per (W, u, N, S) and SentenceMetrics object: one
+    # signature with another object, even an equal one, gets its own row, and so
+    # does one object under other counts.
+    report = aggregate(make_corpus([["L1", "L2", "L1"]]))
+    counts = report.per_sentence[0].counts
+    other = counts._replace(switch_count=1)
+    first, second = (SentenceMetrics(*[value] * 7) for value in values)
+    records = tuple(map(SentenceRecord, range(5), [counts, counts, counts, counts, other],
+                        [first, second, first, second, first]))
+    report = report._replace(per_sentence=records)
+    payload = json.loads(render_report_json(report, DEFAULT_CONFIG))
+    payload["per_sentence"] = [_sentence_dict(record) for record in records]
+    assert render_report_json(report, DEFAULT_CONFIG, per_sentence=True) == json.dumps(payload, indent=2) + "\n"
+    assert render_per_sentence_csv(report) == _CSV_HEADER + "".join(map(_csv_line, records))
+
+
+def _signature_corpus() -> Corpus:
+    """More than _MEMO_SIZE sentences, each with its own signature, then 100 repeats from each end.
+
+    A sentence has t tagged tokens, whose first S + 1 alternate L1 and L2, then u undefined ones.
+    """
+    tag_lists = []
+    for undefined in range(10):
+        for tagged in range(1, 31):
+            for switches in range(tagged):
+                codes = [("L1", "L2")[i % 2] for i in range(switches + 1)]
+                tag_lists.append(codes + codes[-1:] * (tagged - switches - 1) + [None] * undefined)
+    return make_corpus(tag_lists + tag_lists[:100] + tag_lists[-100:])
+
+
+@pytest.mark.parametrize("weights", [(50.0, 50.0), (30.0, 70.0)])
+def test_rows_past_the_memo_cap_render_as_the_per_record_path(weights):
+    config = MetricConfig(*weights)
+    report = aggregate(_signature_corpus(), config)
+    records = report.per_sentence
+    # The repeats of the first signatures share their metrics; past the cap, each sentence has its own.
+    assert len(records) - 200 > _MEMO_SIZE
+    assert len({id(record.metrics) for record in records}) == len(records) - 100
+    rows = ((r.index, _json_body(r.counts, r.metrics)) for r in records)
+    assert render_report_json(report, config, per_sentence=True) == "".join(_report_json_pieces(report, config, rows))
+    per_record = _CSV_HEADER + "".join(f"{r.index},{_csv_body(r.counts, r.metrics)}" for r in records)
+    assert render_per_sentence_csv(report) == per_record
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
