@@ -22,7 +22,7 @@ class UndefinedReason(enum.Enum):
 
 
 class _Immutable:
-    """A slotted value whose fields are set once, by __init__ through object.__setattr__.
+    """A slotted value whose fields are set once, when it is built, through object.__setattr__.
 
     Its __slots__ name the fields in __init__'s order, so copy and pickle
     rebuild it through __init__, which checks it again, and repr shows them.
