@@ -512,9 +512,8 @@ def _signature_corpus() -> Corpus:
     return make_corpus(tag_lists + tag_lists[:100] + tag_lists[-100:])
 
 
-@pytest.mark.parametrize("weights", [(50.0, 50.0), (30.0, 70.0)])
-def test_rows_past_the_memo_cap_render_as_the_per_record_path(weights):
-    config = MetricConfig(*weights)
+def test_rows_past_the_memo_cap_render_as_the_per_record_path():
+    config = DEFAULT_CONFIG
     report = aggregate(_signature_corpus(), config)
     records = report.per_sentence
     # The repeats of the first signatures share their metrics; past the cap, each sentence has its own.
