@@ -77,6 +77,8 @@ class TagPolicy(namedtuple("TagPolicy", ("language_codes", "unknown_tag_action")
     ) -> TagPolicy:
         if isinstance(language_codes, str):  # it would be split into one-letter codes
             raise TypeError("language_codes must be a collection of codes, not one str")
+        if not isinstance(unknown_tag_action, UnknownTagAction):
+            raise TypeError(f"unknown_tag_action must be an UnknownTagAction, not {unknown_tag_action!r}")
         codes = frozenset(LanguageTag.language(c).code for c in language_codes)
         overlap = codes & _ALIAS_REASONS.keys()
         if overlap:

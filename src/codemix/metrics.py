@@ -22,18 +22,21 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .model import LanguageTag, Sentence
 
 
 class MetricConfig(namedtuple("MetricConfig", ("mix_weight", "switch_weight"))):
-    """Weights for the mix and switch terms of every CF."""
+    """Weights for the mix and switch terms of every CF, stored as floats."""
 
     __slots__ = ()
 
     def __new__(cls, mix_weight: float = 50.0, switch_weight: float = 50.0) -> MetricConfig:
+        for weight in (mix_weight, switch_weight):
+            if isinstance(weight, (str, bytes, bytearray)):  # float() would parse it
+                raise TypeError(f"weights must be numbers, not {weight!r}")
+        mix_weight, switch_weight = float(mix_weight), float(switch_weight)
         # A finite sum also keeps every CF finite: CF <= a + b, as MF, SF <= 1 <= f(LF).
         if not math.isfinite(mix_weight + switch_weight):
             raise ValueError("weights and their sum must be finite")
@@ -54,29 +57,22 @@ DEFAULT_CONFIG = MetricConfig()
 class SentenceCounts(NamedTuple):
     """Counting summary of one sentence; input to every index formula.
 
-    per_language is stored as given; count_sentence passes a read-only view.
+    per_language holds one (code, count) pair per language present, in order of
+    first appearance, and equality compares the pairs in that order; compare
+    dict(per_language) for an order-free test. Keeping that order costs nothing,
+    where sorting would add a sort per sentence. language_count and
+    dominant_count follow from per_language, but the corpus fold reads both for
+    every sentence, so they are stored rather than worked out there. The
+    lengths of the language runs are not kept: no index reads them.
     """
 
     total_tokens: int  # W, undefined tokens included
     undefined_tokens: int  # u
     tagged_tokens: int  # W' = W - u
-    per_language: Mapping[str, int]
+    per_language: tuple[tuple[str, int], ...]
     language_count: int  # N, distinct languages with a nonzero count
     dominant_count: int  # max over per_language, 0 when no language present
     switch_count: int  # S, switches over the language-bearing subsequence
-
-    __hash__ = None  # per_language is a mapping, which has no hash
-
-    def __reduce__(self) -> tuple:
-        # pickle cannot copy a read-only view, so the copy gets one of a plain dict.
-        return _sentence_counts, (*self[:3], dict(self.per_language), *self[4:])
-
-
-def _sentence_counts(
-    total: int, undefined: int, tagged: int, per_language: dict[str, int], *rest: int
-) -> SentenceCounts:
-    """SentenceCounts with a read-only view of per_language, as copy and pickle rebuild it."""
-    return SentenceCounts(total, undefined, tagged, MappingProxyType(per_language), *rest)
 
 
 class SentenceMetrics(NamedTuple):
@@ -117,7 +113,7 @@ def _count_tags(tags: Sequence[LanguageTag]) -> SentenceCounts:
         total,
         undefined,
         total - undefined,
-        MappingProxyType(per_language),
+        tuple(per_language.items()),
         len(per_language),
         max(per_language.values(), default=0),
         switches,

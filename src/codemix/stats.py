@@ -13,7 +13,7 @@ from .metrics import (
     MetricConfig,
     SentenceCounts,
     SentenceMetrics,
-    count_sentence,
+    _count_tags,
     metrics_from_counts,
 )
 from .model import Corpus
@@ -49,8 +49,6 @@ class SentenceRecord(NamedTuple):
     counts: SentenceCounts
     metrics: SentenceMetrics
 
-    __hash__ = None  # holds SentenceCounts, which has no hash
-
 
 class CorpusReport(NamedTuple):
     corpus_name: str
@@ -61,8 +59,6 @@ class CorpusReport(NamedTuple):
     cmi_all: float
     cmi_mixed: float
     per_sentence: tuple[SentenceRecord, ...]
-
-    __hash__ = None  # holds SentenceRecords, which have no hash
 
     def summary_row(self, index_name: str) -> IndexSummaryRow:
         for row in self.summary:
@@ -100,7 +96,8 @@ def _registry_sort_key(code: str) -> tuple[str, int, str, str]:
 def language_distribution(corpus: Corpus) -> tuple[LanguageDistributionRow, ...]:
     """Per-language sentence/word counts and percentages, plus one
     language-independent row (always present, possibly zero)."""
-    return _fold(corpus.name, map(count_sentence, corpus.sentences), DEFAULT_CONFIG)[0].distribution
+    counts = (_count_tags(sentence.tags) for sentence in corpus.sentences)
+    return _fold(corpus.name, counts, DEFAULT_CONFIG)[0].distribution
 
 
 def aggregate(corpus: Corpus, config: MetricConfig = DEFAULT_CONFIG) -> CorpusReport:
@@ -109,7 +106,7 @@ def aggregate(corpus: Corpus, config: MetricConfig = DEFAULT_CONFIG) -> CorpusRe
     The result is independent of evaluation order; only the per_sentence
     listing reflects the corpus ordering.
     """
-    counts = list(map(count_sentence, corpus.sentences))
+    counts = [_count_tags(sentence.tags) for sentence in corpus.sentences]
     report, metrics = _fold(corpus.name, counts, config, _metrics)
     return report._replace(per_sentence=tuple(map(SentenceRecord, range(len(counts)), counts, metrics)))
 
@@ -173,7 +170,7 @@ def _fold(
             else:
                 mixed += _add(sums, entry)
         tokens += total
-        for code, words in per_language.items():
+        for code, words in per_language:
             word_counts[code] = word_counts.get(code, 0) + words
             sentence_counts[code] = sentence_counts.get(code, 0) + 1
         if undefined:

@@ -94,7 +94,8 @@ class GenSpec(
     """Recipe for a synthetic corpus; equal specs generate identical corpora.
 
     words is the number of tokens per sentence: an int, or an inclusive (min, max) range.
-    sentence_count, words, language_count and seed are ints; any other type is a TypeError.
+    sentence_count, words, language_count and seed are ints, and arrangement an
+    Arrangement; any other type is a TypeError.
     """
 
     __slots__ = ()
@@ -112,6 +113,8 @@ class GenSpec(
         for field, value in (("sentence_count", sentence_count), ("language_count", language_count), ("seed", seed)):
             if not isinstance(value, int):
                 raise TypeError(f"{field} must be an int, not {value!r}")
+        if not isinstance(arrangement, Arrangement):
+            raise TypeError(f"arrangement must be an Arrangement, not {arrangement!r}")
         bounds = spec.word_range
         if len(bounds) != 2 or not all(isinstance(bound, int) for bound in bounds):
             raise TypeError(f"words must be an int or a (min, max) pair of ints, not {words!r}")

@@ -63,6 +63,14 @@ class TestNormalizeTag:
             TagPolicy()._replace(language_codes="EN")
         assert TagPolicy(["EN"]).language_codes == {"EN"}
 
+    def test_policy_rejects_an_action_that_is_not_an_unknown_tag_action(self):
+        # "undefined" would otherwise behave as UnknownTagAction.ERROR.
+        message = r"^unknown_tag_action must be an UnknownTagAction, not 'undefined'$"
+        with pytest.raises(TypeError, match=message):
+            TagPolicy(unknown_tag_action="undefined")
+        with pytest.raises(TypeError, match=message):
+            TagPolicy()._replace(unknown_tag_action="undefined")
+
     def test_policy_rejects_malformed_codes(self):
         with pytest.raises(ValueError, match=r"^malformed language code: 'E N'$"):
             TagPolicy(language_codes=frozenset({"e n", "EN"}))

@@ -162,6 +162,12 @@ def test_shared_row_stdout(capsys, source, output):
     assert stdout_bytes(capsys, argv) == (GOLDEN / f"{source}.{output}").read_bytes()
 
 
+def test_int_weights_render_as_the_default_weights():
+    report = aggregate(parse_column_format(SOURCES["case6"].read_text(encoding="utf-8"), name="case6"))
+    got = render_report_json(report, MetricConfig(50, 50)).encode("utf-8")
+    assert got == (GOLDEN / "case6.analyze.json").read_bytes()
+
+
 @pytest.mark.parametrize("weights", ["50,50", "30,70"])
 @pytest.mark.parametrize(
     "name, path, parse", LIBRARY_SOURCES, ids=[f"{path.parent.name}/{name}" for name, path, _ in LIBRARY_SOURCES]

@@ -41,10 +41,10 @@ class TestCountSentence:
 
     def test_counts_invariants(self):
         c = counts_of(["EN", "BN", None, "EN", None, "HI"])
-        assert sum(c.per_language.values()) == c.tagged_tokens
+        assert sum(words for _, words in c.per_language) == c.tagged_tokens
         assert c.undefined_tokens + c.tagged_tokens == c.total_tokens
         assert c.language_count == len(c.per_language)
-        assert c.per_language == {"EN": 2, "BN": 1, "HI": 1}
+        assert c.per_language == (("EN", 2), ("BN", 1), ("HI", 1))
 
     def test_empty_sentence_rejected_at_construction(self):
         with pytest.raises(ValueError):
@@ -162,17 +162,29 @@ class TestMetricConfig:
         config = MetricConfig()
         assert (config.mix_weight, config.switch_weight) == (50.0, 50.0)
 
+    def test_weights_are_stored_as_floats(self):
+        for weights, stored in (((50, 50), (50.0, 50.0)), ((True, 1), (1.0, 1.0))):
+            config = MetricConfig(*weights)
+            assert config == stored
+            assert [type(weight) for weight in config] == [float, float]
+        for weights in (("50", 50.0), (50.0, b"50")):
+            with pytest.raises(TypeError):
+                MetricConfig(*weights)
 
-def test_counts_are_immutable_mappings():
+
+def test_counts_are_immutable_hashable_values():
     c = counts_of(["EN", "BN"])
     with pytest.raises(TypeError):
         c.per_language["EN"] = 5
-    # Equal by value but unhashable, like the mapping they hold; so are the records and reports over them.
+    # Counts, and the records and reports over them, hash as they compare: equal values built apart hash alike.
     report = aggregate(make_corpus([["EN", "BN"]]))
-    for value in (c, report.per_sentence[0], report):
-        assert not isinstance(value, Hashable)
-        with pytest.raises(TypeError, match=f"unhashable type: '{type(value).__name__}'"):
-            hash(value)
+    again = aggregate(make_corpus([["EN", "BN"]]))
+    pairs = ((c, counts_of(["EN", "BN"])), (report.per_sentence[0], again.per_sentence[0]), (report, again))
+    for value, equal in pairs:
+        assert isinstance(value, Hashable)
+        assert value == equal and value is not equal
+        assert hash(value) == hash(equal)
+    assert len({report, again}) == 1
 
 
 def test_switch_count_never_exceeds_tagged_minus_one():

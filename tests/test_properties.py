@@ -72,6 +72,7 @@ def test_library_matches_naive_recount(codes):
     assert counts.undefined_tokens == expected["u"]
     assert counts.tagged_tokens == expected["Wprime"]
     assert dict(counts.per_language) == expected["per_language"]
+    assert [code for code, _ in counts.per_language] == list(dict.fromkeys(c for c in codes if c is not None))
     assert counts.language_count == expected["N"]
     assert counts.dominant_count == expected["max_w"]
     assert counts.switch_count == expected["S"]

@@ -103,14 +103,7 @@ def test_value_types_copy_and_pickle_to_equal_values(name):
     for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(copied) is type(value)
         assert copied == value
-
-
-def test_copied_counts_keep_a_read_only_per_language():
-    counts, _ = _value_instances()["SentenceCounts"]
-    for copied in (copy.copy(counts), copy.deepcopy(counts), pickle.loads(pickle.dumps(counts))):
-        assert copied.per_language is not counts.per_language
-        with pytest.raises(TypeError):
-            copied.per_language["EN"] = 2
+        assert hash(copied) == hash(value)
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,6 @@ import random
 import re
 import tracemalloc
 from statistics import fmean
-from types import MappingProxyType
 
 import pytest
 
@@ -148,8 +147,8 @@ def _counts(total: int, undefined: int, languages: int, dominant: int, switches:
     rest = [0] * (languages - 1)
     for i in range(tagged - dominant):
         rest[i % len(rest)] += 1
-    per_language = {f"L{i + 1}": words for i, words in enumerate([dominant, *rest])}
-    return SentenceCounts(total, undefined, tagged, MappingProxyType(per_language), languages, dominant, switches)
+    per_language = tuple((f"L{i + 1}", words) for i, words in enumerate([dominant, *rest]))
+    return SentenceCounts(total, undefined, tagged, per_language, languages, dominant, switches)
 
 
 def _signature(counts: SentenceCounts) -> tuple:

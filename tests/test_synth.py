@@ -106,6 +106,7 @@ class TestGenerate:
             ((1, 3, 1.0), TypeError, "language_count must be an int, not 1.0"),
             ((1, 3, 1, Arrangement.ALTERNATING, 0.0, 1.5), TypeError, "seed must be an int, not 1.5"),
             ((1, (1, 2, 3), 1), TypeError, "words must be an int or a (min, max) pair of ints, not (1, 2, 3)"),
+            ((1, 6, 2, "alternating"), TypeError, "arrangement must be an Arrangement, not 'alternating'"),
         ],
     )
     def test_invalid_spec_rejected_with_its_message(self, args, error, message):
