@@ -17,7 +17,9 @@ import contextlib
 import itertools
 import os
 import sys
+from operator import itemgetter
 from pathlib import Path
+from typing import Iterator
 
 from .corpus_io import TagPolicy, UnknownTagAction, _read_lines, _scan_column, _scan_inline, _Tags
 from .metrics import DEFAULT_CONFIG, MetricConfig, SentenceCounts, SentenceMetrics, _count_tags
@@ -33,12 +35,8 @@ from .render import (
     render_scatter_svg,
     render_summary_table,
 )
-from .stats import INDEX_NAMES, CorpusReport, _fold, _Keep, compare
+from .stats import INDEX_NAMES, CorpusReport, _fold, _rows, compare
 from .synth import Arrangement, GenSpec, _column_text
-
-
-class CliError(Exception):
-    """A diagnostic that should reach the user as `error: ...` with exit status 1."""
 
 
 def _warn(message: str) -> None:
@@ -73,42 +71,46 @@ def _parse_weights(raw: str) -> MetricConfig:
 
 
 def _report(
-    path: str, args: argparse.Namespace, config: MetricConfig = DEFAULT_CONFIG, keep: _Keep | None = None
-) -> tuple[CorpusReport, list]:
+    path: str, args: argparse.Namespace, config: MetricConfig = DEFAULT_CONFIG, per_sentence: bool = False
+) -> tuple[CorpusReport, Iterator[tuple[int, SentenceCounts, SentenceMetrics]]]:
     """Read, scan, count and fold one corpus (`-` is stdin) a line at a time; every failure and warning names the file.
 
     The report is aggregate(parse_*_format(text)) without per_sentence and
-    without building a token; keep(counts, metrics) of each sentence, shared
-    by every sentence with its signature, comes with it, if keep is given.
+    without building a token. With per_sentence, its (index, counts, metrics)
+    records come with it, one at a time from the fold's shared pairs, for
+    stats._rows to format as they are written; without, there are none.
+    Rows are formatted after the fold, but for parsed input that cannot
+    fail, as MetricConfig keeps every index finite, so a command that fails
+    still writes nothing.
     """
     scan = _scan_inline if args.format == "inline" else _scan_column
     try:
         tags = _Tags(_build_policy(args))
         with contextlib.nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as binary:
             counts = (_count_tags(sentence) for _, sentence in scan(_read_lines(binary), tags, path, _warn))
-            return _fold(Path(path).stem, counts, config, keep)
+            report, pairs = _fold(Path(path).stem, counts, config, per_sentence)
     except OSError as exc:
-        raise CliError(f"{path}: {exc.strerror or exc}") from exc
+        raise ValueError(f"{path}: {exc.strerror or exc}") from exc
     except ValueError as exc:  # a bad policy flag, undecodable bytes, a ParseError or an empty corpus
-        raise CliError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
     except OverflowError as exc:  # finite indices, under huge --weights, whose corpus sum is not
-        raise CliError(f"{path}: the corpus sum of an index overflows: {exc}") from exc
+        raise ValueError(f"{path}: the corpus sum of an index overflows: {exc}") from exc
+    return report, zip(itertools.count(), map(itemgetter(0), pairs), map(itemgetter(1), pairs))
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     try:
         config = _parse_weights(args.weights)
     except ValueError as exc:
-        raise CliError(f"{args.file}: {exc}") from exc
-    # A kept row is the body shared by every sentence with its signature; the index is put in as it is written.
+        raise ValueError(f"{args.file}: {exc}") from exc
     if args.out == "csv":
-        _, bodies = _report(args.file, args, config, _csv_body)
+        _, records = _report(args.file, args, config, per_sentence=True)
         sys.stdout.write(_CSV_HEADER)
-        sys.stdout.writelines(map("{},{}".format, itertools.count(), bodies))
+        sys.stdout.writelines(itertools.starmap("{},{}".format, _rows(records, _csv_body)))
     else:
-        keep = _json_body if args.per_sentence else None
-        report, bodies = _report(args.file, args, config, keep)
-        sys.stdout.writelines(_report_json_pieces(report, config, enumerate(bodies) if keep else None))
+        report, records = _report(args.file, args, config, args.per_sentence)
+        rows = _rows(records, _json_body) if args.per_sentence else None
+        sys.stdout.writelines(_report_json_pieces(report, config, rows))
     return 0
 
 
@@ -125,7 +127,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     if args.file_a == args.file_b == "-":
-        raise CliError("-: standard input can be read only once")
+        raise ValueError("-: standard input can be read only once")
     comparison = compare(_report(args.file_a, args)[0], _report(args.file_b, args)[0])
     if args.out == "csv":
         sys.stdout.write(render_comparison_csv(comparison))
@@ -138,12 +140,13 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     def pair(counts: SentenceCounts, metrics: SentenceMetrics) -> tuple[int, float]:
         return counts.total_tokens, getattr(metrics, args.index)
 
-    _, pairs = _report(args.file, args, keep=pair)
+    _, records = _report(args.file, args, per_sentence=True)
+    pairs = [row for _, row in _rows(records, pair)]
     target, render = (args.svg, render_scatter_svg) if args.svg else (args.csv, render_scatter_csv)
     try:
         Path(target).write_text(render(pairs, args.index), encoding="utf-8")
     except OSError as exc:
-        raise CliError(f"{target}: {exc.strerror or exc}") from exc
+        raise ValueError(f"{target}: {exc.strerror or exc}") from exc
     return 0
 
 
@@ -154,7 +157,7 @@ def _parse_words(raw: str) -> int | tuple[int, int]:
             return int(lo), int(hi)
         return int(raw)
     except ValueError:
-        raise CliError(f"--words expects N or MIN:MAX, got {raw!r}") from None
+        raise ValueError(f"--words expects N or MIN:MAX, got {raw!r}") from None
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -236,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
         status = args.func(args)
         sys.stdout.flush()  # here, so that a reader that has gone away is caught below
         return status
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:  # stdout's reader closed it: point fd 1 at devnull, so the flush at exit succeeds

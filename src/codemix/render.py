@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .metrics import MetricConfig, SentenceCounts, SentenceMetrics
-from .stats import _MEMO_SIZE, CorpusComparison, CorpusReport, SentenceRecord
+from .stats import CorpusComparison, CorpusReport, _rows
 
 # The per-sentence CSV contract: exactly these columns, in this order.
 # The last seven columns are the fields of SentenceMetrics, in its order.
@@ -66,32 +66,6 @@ def _json_body(counts: SentenceCounts, metrics: SentenceMetrics) -> str:
         *[round(value, 2) for value in metrics],
         *metrics,
     )
-
-
-def _rows(
-    records: Iterable[SentenceRecord], body: Callable[[SentenceCounts, SentenceMetrics], str]
-) -> Iterator[tuple[int, str]]:
-    """(index, body(counts, metrics)) for each record; a ValueError from body names the sentence.
-
-    body reads only W, u, N and S of counts, and aggregate hands every
-    sentence of a signature one SentenceMetrics object, so body runs once per
-    key of those four counts and the object's identity. Identity, not value:
-    in a report built by hand, equal values such as 0.0 and -0.0 are formatted
-    apart. At most _MEMO_SIZE keys are remembered: past that many signatures,
-    aggregate shares no new object.
-    """
-    memo: dict[tuple, str] = {}
-    for index, counts, metrics in records:
-        key = (counts.total_tokens, counts.undefined_tokens, counts.language_count, counts.switch_count, id(metrics))
-        text = memo.get(key)
-        if text is None:
-            try:
-                text = body(counts, metrics)
-            except ValueError as exc:
-                raise ValueError(f"sentence {index}: {exc}") from None
-            if len(memo) < _MEMO_SIZE:
-                memo[key] = text
-        yield index, text
 
 
 def render_report_json(report: CorpusReport, config: MetricConfig, per_sentence: bool = False) -> str:

@@ -6,7 +6,8 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Callable, Iterable, NamedTuple, TypeVar
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .metrics import (
     DEFAULT_CONFIG,
@@ -107,15 +108,10 @@ def aggregate(corpus: Corpus, config: MetricConfig = DEFAULT_CONFIG) -> CorpusRe
     listing reflects the corpus ordering.
     """
     counts = [_count_tags(sentence.tags) for sentence in corpus.sentences]
-    report, metrics = _fold(corpus.name, counts, config, _metrics)
+    report, pairs = _fold(corpus.name, counts, config, per_sentence=True)
+    metrics = map(itemgetter(1), pairs)
     return report._replace(per_sentence=tuple(map(SentenceRecord, range(len(counts)), counts, metrics)))
 
-
-def _metrics(_: SentenceCounts, metrics: SentenceMetrics) -> SentenceMetrics:
-    return metrics
-
-
-_Keep = Callable[[SentenceCounts, SentenceMetrics], T]
 
 # At most this many signatures are remembered per fold; a later new one is
 # folded in, and its metrics computed, for each sentence that has it, so a
@@ -124,26 +120,26 @@ _MEMO_SIZE = 4096
 
 
 def _fold(
-    name: str, counts: Iterable[SentenceCounts], config: MetricConfig, keep: _Keep | None = None
-) -> tuple[CorpusReport, list[T]]:
+    name: str, counts: Iterable[SentenceCounts], config: MetricConfig, per_sentence: bool = False
+) -> tuple[CorpusReport, list[tuple[SentenceCounts, SentenceMetrics]]]:
     """The corpus report of a name and its sentences' counts, in corpus order, without per_sentence.
 
-    Every index is a function of a sentence's signature, its counts without
-    per_language, so each signature's metrics are computed once, on its first
-    sentence, and its memo entry counts the sentences that have it; a repeat
-    costs one increment. keep(counts, metrics), if given, must read only
-    signature fields too: it is called once per signature, and its result
-    stands for every sentence with that signature. The fold holds nothing per
-    sentence but a reference to that shared result; the results come back in
-    corpus order. A ValueError from keep names the first sentence it was raised for.
+    Every index is a function of a sentence's signature, the five counts W,
+    u, N, max_w and S (W' is W - u), so each signature's metrics are computed
+    once, on its first sentence, and its memo entry counts the sentences that
+    have it; a repeat costs one increment. With per_sentence, each sentence's
+    (counts, metrics) pair comes back too, in corpus order: one pair per
+    signature, made on its first sentence, so a caller may read only the
+    signature fields of its counts. The fold holds nothing per sentence but a
+    reference to that pair.
 
     Each index's sum is kept exactly, as an int in units of 2**-1074, the
     smallest float step: an entry adds its values once, times its count, at
     the end, and a signature past the memo's cap adds them at once. An int
     quotient is correctly rounded, as math.fsum is, so each mean is statistics.fmean's.
     """
-    kept: list[T] = []
-    memo: dict[tuple, list] = {}  # signature -> [summary values, keep's result, sentences that have it]
+    pairs: list[tuple[SentenceCounts, SentenceMetrics]] = []
+    memo: dict[tuple, list] = {}  # signature -> [summary values, (counts, metrics), sentences that have it]
     word_counts: dict[str, int] = {}
     sentence_counts: dict[str, int] = {}
     independent_words = independent_sentences = tokens = 0
@@ -152,13 +148,13 @@ def _fold(
     mixed = 0  # sentences with CMI > 0
     index = -1
     for index, sentence in enumerate(counts):
-        total, undefined, tagged, per_language, languages, dominant, switches = sentence
-        signature = (total, undefined, tagged, languages, dominant, switches)
+        total, undefined, _, per_language, languages, dominant, switches = sentence
+        signature = (total, undefined, languages, dominant, switches)
         entry = memo.get(signature)
         if entry is not None:
             entry[2] += 1
         else:
-            entry = _evaluate(index, sentence, config, keep)
+            entry = _evaluate(sentence, config, per_sentence)
             # In corpus order, so that of equal values (0.0 and -0.0) the one min() and max() pick stays.
             for column, value in enumerate(entry[0]):
                 if value < low[column]:
@@ -176,8 +172,8 @@ def _fold(
         if undefined:
             independent_words += undefined
             independent_sentences += 1
-        if keep is not None:
-            kept.append(entry[1])
+        if per_sentence:
+            pairs.append(entry[1])
     sentences = index + 1
     if not sentences:
         raise ValueError("empty corpus")
@@ -212,19 +208,14 @@ def _fold(
         cmi_mixed=totals[0] / mixed if mixed else 0.0,  # CMI >= 0, so its zeros add nothing to the total
         per_sentence=(),
     )
-    return report, kept
+    return report, pairs
 
 
-def _evaluate(index: int, counts: SentenceCounts, config: MetricConfig, keep: _Keep | None) -> list:
-    """A new memo entry: a sentence's summary values, in SUMMARY_INDICES order, keep's result for it, and 1."""
+def _evaluate(counts: SentenceCounts, config: MetricConfig, per_sentence: bool) -> list:
+    """A new memo entry: a sentence's summary values, in SUMMARY_INDICES order, (counts, metrics) or None, and 1."""
     metrics = metrics_from_counts(counts, config)
     summary = (metrics.cmi, metrics.cf1, metrics.cf2, metrics.cf3, float(counts.total_tokens))
-    if keep is None:
-        return [summary, None, 1]
-    try:
-        return [summary, keep(counts, metrics), 1]
-    except ValueError as exc:
-        raise ValueError(f"sentence {index}: {exc}") from None
+    return [summary, (counts, metrics) if per_sentence else None, 1]
 
 
 def _add(sums: list[int], entry: list) -> int:
@@ -237,6 +228,32 @@ def _add(sums: list[int], entry: list) -> int:
         numerator, denominator = value.as_integer_ratio()  # denominator is 2**k, k <= 1074
         sums[column] += count * numerator << 1075 - denominator.bit_length()
     return count if summary[0] > 0 else 0
+
+
+def _rows(
+    records: Iterable[tuple[int, SentenceCounts, SentenceMetrics]], body: Callable[[SentenceCounts, SentenceMetrics], T]
+) -> Iterator[tuple[int, T]]:
+    """(index, body(counts, metrics)) for each record; a ValueError from body names the sentence.
+
+    body reads only W, u, N and S of counts, and _fold hands every sentence
+    of a signature one (counts, metrics) pair, so body runs once per key of
+    those four counts and the metrics object's identity. Identity, not value:
+    in a report built by hand, equal values such as 0.0 and -0.0 are formatted
+    apart. At most _MEMO_SIZE keys are remembered: past that many signatures,
+    _fold shares no new pair.
+    """
+    memo: dict[tuple, T] = {}
+    for index, counts, metrics in records:
+        key = (counts.total_tokens, counts.undefined_tokens, counts.language_count, counts.switch_count, id(metrics))
+        row = memo.get(key)
+        if row is None:
+            try:
+                row = body(counts, metrics)
+            except ValueError as exc:
+                raise ValueError(f"sentence {index}: {exc}") from None
+            if len(memo) < _MEMO_SIZE:
+                memo[key] = row
+        yield index, row
 
 
 def scatter_data(report: CorpusReport, index_name: str) -> list[tuple[int, float]]:

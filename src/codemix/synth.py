@@ -94,8 +94,8 @@ class GenSpec(
     """Recipe for a synthetic corpus; equal specs generate identical corpora.
 
     words is the number of tokens per sentence: an int, or an inclusive (min, max) range.
-    sentence_count, words, language_count and seed are ints, and arrangement an
-    Arrangement; any other type is a TypeError.
+    sentence_count, words, language_count and seed are ints, arrangement an
+    Arrangement and undefined_ratio an int or a float; any other type is a TypeError.
     """
 
     __slots__ = ()
@@ -115,6 +115,8 @@ class GenSpec(
                 raise TypeError(f"{field} must be an int, not {value!r}")
         if not isinstance(arrangement, Arrangement):
             raise TypeError(f"arrangement must be an Arrangement, not {arrangement!r}")
+        if not isinstance(undefined_ratio, (int, float)):
+            raise TypeError(f"undefined_ratio must be a number, not {undefined_ratio!r}")
         bounds = spec.word_range
         if len(bounds) != 2 or not all(isinstance(bound, int) for bound in bounds):
             raise TypeError(f"words must be an int or a (min, max) pair of ints, not {words!r}")

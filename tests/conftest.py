@@ -34,6 +34,20 @@ def make_corpus(tag_lists: list[list[str | None]], name: str = "test") -> Corpus
     return Corpus(name=name, sentences=tuple(make_sentence(codes) for codes in tag_lists))
 
 
+def signature_corpus() -> Corpus:
+    """More than stats._MEMO_SIZE sentences, each with its own signature, then 100 repeats from each end.
+
+    A sentence has t tagged tokens, whose first S + 1 alternate L1 and L2, then u undefined ones.
+    """
+    tag_lists = []
+    for undefined in range(10):
+        for tagged in range(1, 31):
+            for switches in range(tagged):
+                codes = [("L1", "L2")[i % 2] for i in range(switches + 1)]
+                tag_lists.append(codes + codes[-1:] * (tagged - switches - 1) + [None] * undefined)
+    return make_corpus(tag_lists + tag_lists[:100] + tag_lists[-100:])
+
+
 def enumerate_small(max_words: int, alphabet: Sequence[LanguageTag]) -> Iterator[Sentence]:
     """Every tag sequence of length 1..max_words over the alphabet, lexicographically.
 

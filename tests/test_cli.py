@@ -9,7 +9,15 @@ import tracemalloc
 
 import pytest
 
-from codemix import DEFAULT_CONFIG, MetricConfig, aggregate, parse_column_format, parse_inline_format, scatter_data
+from codemix import (
+    DEFAULT_CONFIG,
+    MetricConfig,
+    aggregate,
+    parse_column_format,
+    parse_inline_format,
+    scatter_data,
+    write_corpus,
+)
 from codemix.cli import main
 from codemix.render import (
     _json_body,
@@ -19,7 +27,8 @@ from codemix.render import (
     render_scatter_csv,
     render_scatter_svg,
 )
-from conftest import FIXTURES
+from codemix.stats import _MEMO_SIZE
+from conftest import FIXTURES, signature_corpus
 
 GOLDEN = FIXTURES.parent / "tests" / "golden"
 GOLDEN_CASE6 = (GOLDEN / "case6.analyze.json").read_text(encoding="utf-8")
@@ -376,6 +385,20 @@ class TestSharedRows:
             written = tmp_path / f"plot.{target}"
             assert run(capsys, "plot", str(path), "--index", "cf2", f"--{target}", str(written)) == (0, "", "")
             assert written.read_text(encoding="utf-8") == render(pairs, "cf2")
+
+    def test_per_sentence_outputs_past_both_memo_caps_equal_the_library(self, capsys, tmp_path):
+        # More signatures than the fold and the row formatter remember, then repeats of the first and the last.
+        corpus = signature_corpus()
+        path = tmp_path / f"{corpus.name}.tags"
+        path.write_text(write_corpus(corpus), encoding="utf-8")
+        report = aggregate(corpus)
+        assert len({r.counts[:3] + r.counts[4:] for r in report.per_sentence}) > _MEMO_SIZE
+        json_out = run(capsys, "analyze", str(path), "--per-sentence")
+        assert json_out == (0, render_report_json(report, DEFAULT_CONFIG, per_sentence=True), "")
+        assert run(capsys, "analyze", str(path), "--out", "csv") == (0, render_per_sentence_csv(report), "")
+        written = tmp_path / "plot.csv"
+        assert run(capsys, "plot", str(path), "--index", "cf2", "--csv", str(written)) == (0, "", "")
+        assert written.read_text(encoding="utf-8") == render_scatter_csv(scatter_data(report, "cf2"), "cf2")
 
     def test_per_sentence_closes_alike_for_rows_in_a_list_in_an_iterator_or_none(self):
         report = aggregate(parse_column_format("a\tEN\nb\tHI\n\nc\tEN\n"))

@@ -56,7 +56,7 @@ from codemix.render import (
     render_scatter_csv,
     render_summary_table,
 )
-from conftest import make_corpus, make_sentence
+from conftest import make_corpus, make_sentence, signature_corpus
 from naive_oracle import naive_metrics
 
 tag_lists = st.lists(st.sampled_from(["L1", "L2", "L3", None]), min_size=1, max_size=12)
@@ -499,23 +499,9 @@ def test_rows_render_apart_unless_they_share_counts_and_metrics_object(values):
     assert render_per_sentence_csv(report) == _CSV_HEADER + "".join(map(_csv_line, records))
 
 
-def _signature_corpus() -> Corpus:
-    """More than _MEMO_SIZE sentences, each with its own signature, then 100 repeats from each end.
-
-    A sentence has t tagged tokens, whose first S + 1 alternate L1 and L2, then u undefined ones.
-    """
-    tag_lists = []
-    for undefined in range(10):
-        for tagged in range(1, 31):
-            for switches in range(tagged):
-                codes = [("L1", "L2")[i % 2] for i in range(switches + 1)]
-                tag_lists.append(codes + codes[-1:] * (tagged - switches - 1) + [None] * undefined)
-    return make_corpus(tag_lists + tag_lists[:100] + tag_lists[-100:])
-
-
 def test_rows_past_the_memo_cap_render_as_the_per_record_path():
     config = DEFAULT_CONFIG
-    report = aggregate(_signature_corpus(), config)
+    report = aggregate(signature_corpus(), config)
     records = report.per_sentence
     # The repeats of the first signatures share their metrics; past the cap, each sentence has its own.
     assert len(records) - 200 > _MEMO_SIZE
@@ -569,7 +555,7 @@ def test_streamed_summary_equals_fmean_min_max(signatures, pool, seed):
     sentences = [
         counts
         for switches, count in enumerate(repeats)
-        for counts in [SentenceCounts(1, 0, 1, {}, 1, 1, switches)] * count
+        for counts in [SentenceCounts(1, 0, 1, (), 1, 1, switches)] * count
     ]
     rng.shuffle(sentences)
 

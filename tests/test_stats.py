@@ -5,6 +5,7 @@ import random
 import re
 import tracemalloc
 from statistics import fmean
+from unittest import mock
 
 import pytest
 
@@ -24,7 +25,7 @@ from codemix import (
     scatter_data,
 )
 from codemix.render import _json_body
-from codemix.stats import _MEMO_SIZE, INDEPENDENT_LABEL, CorpusReport, _fold
+from codemix.stats import _MEMO_SIZE, INDEPENDENT_LABEL, CorpusReport, _fold, _rows
 from conftest import make_corpus
 
 
@@ -171,7 +172,7 @@ def _distinct_counts(count: int, seed: int) -> list[SentenceCounts]:
 
 
 class TestSignatureMemo:
-    """stats._fold computes each signature's metrics, and keep's result, once per run."""
+    """stats._fold computes each signature's metrics once per run, and stats._rows formats its row once."""
 
     def test_more_signatures_than_the_memo_holds_match_unmemoised_metrics(self):
         rng = random.Random(3)
@@ -183,20 +184,23 @@ class TestSignatureMemo:
                 sentences.append(rng.choice(distinct[: i + 1]))
         sentences.extend(rng.choices(distinct, k=2000))
         config = MetricConfig(30.0, 70.0)
-        calls = []
-
-        def keep(counts, metrics):
-            calls.append(_signature(counts))
-            return _signature(counts), metrics
-
-        report, kept = _fold("memo", sentences, config, keep)
+        with mock.patch("codemix.stats.metrics_from_counts", wraps=metrics_from_counts) as evaluated:
+            report, pairs = _fold("memo", sentences, config, per_sentence=True)
         expected = [metrics_from_counts(counts, config) for counts in sentences]
-        assert [signature for signature, _ in kept] == [_signature(counts) for counts in sentences]
-        assert [[v.hex() for v in m] for _, m in kept] == [[v.hex() for v in m] for m in expected]
-        # keep runs once per remembered signature, and once per sentence for the others.
-        remembered = set(calls[:_MEMO_SIZE])
-        assert len(remembered) == _MEMO_SIZE
-        assert len(calls) == _MEMO_SIZE + sum(_signature(counts) not in remembered for counts in sentences)
+        assert [_signature(counts) for counts, _ in pairs] == [_signature(counts) for counts in sentences]
+        assert [[v.hex() for v in m] for _, m in pairs] == [[v.hex() for v in m] for m in expected]
+        # The first _MEMO_SIZE signatures each have one pair, made on their first sentence;
+        # past the cap, each sentence has its own. Each pair's metrics are computed once.
+        remembered = set(list(dict.fromkeys(map(_signature, sentences)))[:_MEMO_SIZE])
+        first: dict[tuple, tuple] = {}
+        for counts, pair in zip(sentences, pairs):
+            signature = _signature(counts)
+            if signature not in first:
+                assert pair[0] is counts
+            if signature in remembered:
+                assert pair is first.setdefault(signature, pair)
+        own = sum(_signature(counts) not in remembered for counts in sentences)
+        assert len({id(pair) for pair in pairs}) == evaluated.call_count == _MEMO_SIZE + own
         for row in report.summary:
             if row.index_name == "words_per_sentence":
                 values = [float(counts.total_tokens) for counts in sentences]
@@ -220,11 +224,14 @@ class TestSignatureMemo:
 
     @pytest.mark.parametrize("first", [3, _MEMO_SIZE + 5], ids=["remembered", "past-the-cap"])
     def test_a_non_finite_index_names_the_first_sentence_that_has_it(self, first):
-        good = _distinct_counts(first, seed=5)
-        bad = _counts(2, 0, 1, 2, 0)._replace(total_tokens=math.inf)  # LF = W / N is inf
-        sentences = [*good[:first], bad, *good[:10], bad]
+        # first distinct keys, so that past the cap the memo of _rows is full when the bad row comes.
+        good = [(counts, metrics_from_counts(counts)) for counts in _distinct_counts(first, seed=5)]
+        bad_counts = _counts(2, 0, 1, 2, 0)
+        bad = (bad_counts, metrics_from_counts(bad_counts)._replace(language_factor=math.inf))
+        pairs = [*good, bad, *good[:10], bad]
+        records = [(index, counts, metrics) for index, (counts, metrics) in enumerate(pairs)]
         with pytest.raises(ValueError, match=f"^sentence {first}: LF is inf, which JSON cannot hold$"):
-            _fold("bad", sentences, DEFAULT_CONFIG, _json_body)
+            list(_rows(records, _json_body))
 
     def test_peak_memory_stops_growing_at_the_memo_size(self):
         def distinct(count):  # made one at a time, so that the input holds no memory

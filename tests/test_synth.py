@@ -107,6 +107,8 @@ class TestGenerate:
             ((1, 3, 1, Arrangement.ALTERNATING, 0.0, 1.5), TypeError, "seed must be an int, not 1.5"),
             ((1, (1, 2, 3), 1), TypeError, "words must be an int or a (min, max) pair of ints, not (1, 2, 3)"),
             ((1, 6, 2, "alternating"), TypeError, "arrangement must be an Arrangement, not 'alternating'"),
+            ((1, 3, 1, Arrangement.RANDOM, "0.1"), TypeError, "undefined_ratio must be a number, not '0.1'"),
+            ((1, 3, 1, Arrangement.RANDOM, None), TypeError, "undefined_ratio must be a number, not None"),
         ],
     )
     def test_invalid_spec_rejected_with_its_message(self, args, error, message):
