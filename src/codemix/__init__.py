@@ -35,7 +35,6 @@ from .stats import (
     IndexComparison,
     IndexSummaryRow,
     LanguageDistributionRow,
-    SentenceRecord,
     aggregate,
     compare,
     language_distribution,
@@ -65,7 +64,6 @@ __all__ = [
     "Sentence",
     "SentenceCounts",
     "SentenceMetrics",
-    "SentenceRecord",
     "TagPolicy",
     "Token",
     "UndefinedReason",

@@ -14,19 +14,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import os
 import sys
-from operator import itemgetter
 from pathlib import Path
-from typing import Iterator
 
 from .corpus_io import TagPolicy, UnknownTagAction, _read_lines, _scan_column, _scan_inline, _Tags
-from .metrics import DEFAULT_CONFIG, MetricConfig, SentenceCounts, SentenceMetrics, _count_tags
+from .metrics import DEFAULT_CONFIG, MetricConfig, _count_tags
 from .render import (
-    _CSV_HEADER,
-    _csv_body,
-    _json_body,
+    _csv_lines,
     _report_json_pieces,
     render_comparison_csv,
     render_comparison_json,
@@ -35,7 +30,7 @@ from .render import (
     render_scatter_svg,
     render_summary_table,
 )
-from .stats import INDEX_NAMES, CorpusReport, _fold, _rows, compare
+from .stats import INDEX_NAMES, CorpusReport, _fold, compare, scatter_data
 from .synth import Arrangement, GenSpec, _column_text
 
 
@@ -72,30 +67,28 @@ def _parse_weights(raw: str) -> MetricConfig:
 
 def _report(
     path: str, args: argparse.Namespace, config: MetricConfig = DEFAULT_CONFIG, per_sentence: bool = False
-) -> tuple[CorpusReport, Iterator[tuple[int, SentenceCounts, SentenceMetrics]]]:
+) -> CorpusReport:
     """Read, scan, count and fold one corpus (`-` is stdin) a line at a time; every failure and warning names the file.
 
-    The report is aggregate(parse_*_format(text)) without per_sentence and
-    without building a token. With per_sentence, its (index, counts, metrics)
-    records come with it, one at a time from the fold's shared pairs, for
-    stats._rows to format as they are written; without, there are none.
-    Rows are formatted after the fold, but for parsed input that cannot
-    fail, as MetricConfig keeps every index finite, so a command that fails
-    still writes nothing.
+    The report is aggregate(parse_*_format(text)) without building a token,
+    and without per_sentence unless asked. Its per-sentence pairs are the
+    fold's, one per signature, which the library renderers read as they read
+    aggregate's. Rows are formatted after the fold, but for parsed input that
+    cannot fail, as MetricConfig keeps every index finite, so a command that
+    fails still writes nothing.
     """
     scan = _scan_inline if args.format == "inline" else _scan_column
     try:
         tags = _Tags(_build_policy(args))
         with contextlib.nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as binary:
             counts = (_count_tags(sentence) for _, sentence in scan(_read_lines(binary), tags, path, _warn))
-            report, pairs = _fold(Path(path).stem, counts, config, per_sentence)
+            return _fold(Path(path).stem, counts, config, per_sentence)
     except OSError as exc:
         raise ValueError(f"{path}: {exc.strerror or exc}") from exc
     except ValueError as exc:  # a bad policy flag, undecodable bytes, a ParseError or an empty corpus
         raise ValueError(f"{path}: {exc}") from exc
     except OverflowError as exc:  # finite indices, under huge --weights, whose corpus sum is not
         raise ValueError(f"{path}: the corpus sum of an index overflows: {exc}") from exc
-    return report, zip(itertools.count(), map(itemgetter(0), pairs), map(itemgetter(1), pairs))
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -104,18 +97,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ValueError(f"{args.file}: {exc}") from exc
     if args.out == "csv":
-        _, records = _report(args.file, args, config, per_sentence=True)
-        sys.stdout.write(_CSV_HEADER)
-        sys.stdout.writelines(itertools.starmap("{},{}".format, _rows(records, _csv_body)))
+        sys.stdout.writelines(_csv_lines(_report(args.file, args, config, per_sentence=True)))
     else:
-        report, records = _report(args.file, args, config, args.per_sentence)
-        rows = _rows(records, _json_body) if args.per_sentence else None
-        sys.stdout.writelines(_report_json_pieces(report, config, rows))
+        report = _report(args.file, args, config, args.per_sentence)
+        sys.stdout.writelines(_report_json_pieces(report, config, args.per_sentence))
     return 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    report, _ = _report(args.file, args)
+    report = _report(args.file, args)
     sys.stdout.write(f"corpus: {report.corpus_name or args.file}\n")
     sys.stdout.write(f"sentences: {report.sentence_count}  tokens: {report.token_count}\n")
     sys.stdout.write(f"CMI all: {report.cmi_all:.2f}  CMI mixed: {report.cmi_mixed:.2f}\n\n")
@@ -128,7 +118,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     if args.file_a == args.file_b == "-":
         raise ValueError("-: standard input can be read only once")
-    comparison = compare(_report(args.file_a, args)[0], _report(args.file_b, args)[0])
+    comparison = compare(_report(args.file_a, args), _report(args.file_b, args))
+    if comparison.corpus_a == comparison.corpus_b:  # one stem for two inputs: name each by its path
+        comparison = comparison._replace(corpus_a=args.file_a, corpus_b=args.file_b)
     if args.out == "csv":
         sys.stdout.write(render_comparison_csv(comparison))
     else:
@@ -137,11 +129,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
-    def pair(counts: SentenceCounts, metrics: SentenceMetrics) -> tuple[int, float]:
-        return counts.total_tokens, getattr(metrics, args.index)
-
-    _, records = _report(args.file, args, per_sentence=True)
-    pairs = [row for _, row in _rows(records, pair)]
+    pairs = scatter_data(_report(args.file, args, per_sentence=True), args.index)
     target, render = (args.svg, render_scatter_svg) if args.svg else (args.csv, render_scatter_csv)
     try:
         Path(target).write_text(render(pairs, args.index), encoding="utf-8")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .metrics import MetricConfig, SentenceCounts, SentenceMetrics
 from .stats import CorpusComparison, CorpusReport, _rows
@@ -70,14 +70,11 @@ def _json_body(counts: SentenceCounts, metrics: SentenceMetrics) -> str:
 
 def render_report_json(report: CorpusReport, config: MetricConfig, per_sentence: bool = False) -> str:
     """The report as JSON in json.dumps(indent=2) layout; a non-finite value raises ValueError."""
-    rows = _rows(report.per_sentence, _json_body) if per_sentence else None
-    return "".join(_report_json_pieces(report, config, rows))
+    return "".join(_report_json_pieces(report, config, per_sentence))
 
 
-def _report_json_pieces(
-    report: CorpusReport, config: MetricConfig, rows: Iterable[tuple[int, str]] | None
-) -> Iterator[str]:
-    """render_report_json in pieces, with (index, _json_body) pairs as "per_sentence" unless rows is None."""
+def _report_json_pieces(report: CorpusReport, config: MetricConfig, per_sentence: bool) -> Iterator[str]:
+    """render_report_json in pieces, each per-sentence row formatted as it is yielded."""
     payload: dict = {
         "corpus": report.corpus_name,
         "sentences": report.sentence_count,
@@ -108,14 +105,14 @@ def _report_json_pieces(
         "raw": {"cmi_all": report.cmi_all, "cmi_mixed": report.cmi_mixed},
     }
     header = json.dumps(payload, indent=2, allow_nan=False)
-    if rows is None:
+    if not per_sentence:
         yield header + "\n"
         return
     # The rows go in before the header's closing "\n}", where json puts a last key.
     yield f'{header[:-2]},\n  "per_sentence": ['
     first, later = "\n" + _ROW_HEAD, ",\n" + _ROW_HEAD
     separator = first
-    for index, body in rows:
+    for index, body in _rows(report.per_sentence, _json_body):
         yield f"{separator}{index}"
         yield body
         separator = later
@@ -135,7 +132,14 @@ def _csv_body(counts: SentenceCounts, metrics: SentenceMetrics) -> str:
 
 
 def render_per_sentence_csv(report: CorpusReport) -> str:
-    return _CSV_HEADER + "".join([f"{index},{body}" for index, body in _rows(report.per_sentence, _csv_body)])
+    return "".join(_csv_lines(report))
+
+
+def _csv_lines(report: CorpusReport) -> Iterator[str]:
+    """render_per_sentence_csv a line at a time: the header, then each sentence's line."""
+    yield _CSV_HEADER
+    for index, body in _rows(report.per_sentence, _csv_body):
+        yield f"{index},{body}"
 
 
 def render_comparison_json(comparison: CorpusComparison) -> str:

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 import re
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .metrics import (
     DEFAULT_CONFIG,
@@ -18,8 +18,6 @@ from .metrics import (
     metrics_from_counts,
 )
 from .model import Corpus
-
-T = TypeVar("T")
 
 INDEPENDENT_LABEL = "Language Independent"
 
@@ -45,12 +43,6 @@ class IndexSummaryRow(NamedTuple):
     mean: float
 
 
-class SentenceRecord(NamedTuple):
-    index: int
-    counts: SentenceCounts
-    metrics: SentenceMetrics
-
-
 class CorpusReport(NamedTuple):
     corpus_name: str
     sentence_count: int
@@ -59,7 +51,7 @@ class CorpusReport(NamedTuple):
     summary: tuple[IndexSummaryRow, ...]
     cmi_all: float
     cmi_mixed: float
-    per_sentence: tuple[SentenceRecord, ...]
+    per_sentence: tuple[tuple[SentenceCounts, SentenceMetrics], ...]  # (counts, metrics); the index is the position
 
     def summary_row(self, index_name: str) -> IndexSummaryRow:
         for row in self.summary:
@@ -98,19 +90,19 @@ def language_distribution(corpus: Corpus) -> tuple[LanguageDistributionRow, ...]
     """Per-language sentence/word counts and percentages, plus one
     language-independent row (always present, possibly zero)."""
     counts = (_count_tags(sentence.tags) for sentence in corpus.sentences)
-    return _fold(corpus.name, counts, DEFAULT_CONFIG)[0].distribution
+    return _fold(corpus.name, counts, DEFAULT_CONFIG).distribution
 
 
 def aggregate(corpus: Corpus, config: MetricConfig = DEFAULT_CONFIG) -> CorpusReport:
     """Compute per-sentence metrics and fold them into a corpus report.
 
     The result is independent of evaluation order; only the per_sentence
-    listing reflects the corpus ordering.
+    listing reflects the corpus ordering. Each sentence's pair holds its own
+    counts; sentences with one signature share its metrics.
     """
     counts = [_count_tags(sentence.tags) for sentence in corpus.sentences]
-    report, pairs = _fold(corpus.name, counts, config, per_sentence=True)
-    metrics = map(itemgetter(1), pairs)
-    return report._replace(per_sentence=tuple(map(SentenceRecord, range(len(counts)), counts, metrics)))
+    report = _fold(corpus.name, counts, config, per_sentence=True)
+    return report._replace(per_sentence=tuple(zip(counts, map(itemgetter(1), report.per_sentence))))
 
 
 # At most this many signatures are remembered per fold; a later new one is
@@ -121,17 +113,20 @@ _MEMO_SIZE = 4096
 
 def _fold(
     name: str, counts: Iterable[SentenceCounts], config: MetricConfig, per_sentence: bool = False
-) -> tuple[CorpusReport, list[tuple[SentenceCounts, SentenceMetrics]]]:
-    """The corpus report of a name and its sentences' counts, in corpus order, without per_sentence.
+) -> CorpusReport:
+    """The corpus report of a name and its sentences' counts, in corpus order.
 
     Every index is a function of a sentence's signature, the five counts W,
     u, N, max_w and S (W' is W - u), so each signature's metrics are computed
     once, on its first sentence, and its memo entry counts the sentences that
-    have it; a repeat costs one increment. With per_sentence, each sentence's
-    (counts, metrics) pair comes back too, in corpus order: one pair per
-    signature, made on its first sentence, so a caller may read only the
-    signature fields of its counts. The fold holds nothing per sentence but a
-    reference to that pair.
+    have it; a repeat costs one increment. With per_sentence, the report's
+    per_sentence holds each sentence's (counts, metrics) pair, in corpus
+    order: one pair per signature, made on its first sentence, so a reader
+    may read only the signature fields of its counts. The fold holds nothing
+    per sentence but a reference to that pair; without per_sentence, it is
+    empty. It is the list the fold appended to, not a tuple: a copy would hold
+    every reference twice at the end of the fold, which the CLI's peak memory
+    shows. aggregate hands out a tuple.
 
     Each index's sum is kept exactly, as an int in units of 2**-1074, the
     smallest float step: an entry adds its values once, times its count, at
@@ -198,7 +193,7 @@ def _fold(
     )
     totals = [total / (1 << 1074) for total in sums]
     means = [total / sentences for total in totals]
-    report = CorpusReport(
+    return CorpusReport(
         corpus_name=name,
         sentence_count=sentences,
         token_count=tokens,
@@ -206,9 +201,8 @@ def _fold(
         summary=tuple(map(IndexSummaryRow, SUMMARY_INDICES, low, high, means)),
         cmi_all=means[0],
         cmi_mixed=totals[0] / mixed if mixed else 0.0,  # CMI >= 0, so its zeros add nothing to the total
-        per_sentence=(),
+        per_sentence=pairs,  # a list, not a tuple: see the docstring
     )
-    return report, pairs
 
 
 def _evaluate(counts: SentenceCounts, config: MetricConfig, per_sentence: bool) -> list:
@@ -231,19 +225,19 @@ def _add(sums: list[int], entry: list) -> int:
 
 
 def _rows(
-    records: Iterable[tuple[int, SentenceCounts, SentenceMetrics]], body: Callable[[SentenceCounts, SentenceMetrics], T]
-) -> Iterator[tuple[int, T]]:
-    """(index, body(counts, metrics)) for each record; a ValueError from body names the sentence.
+    pairs: Iterable[tuple[SentenceCounts, SentenceMetrics]], body: Callable[[SentenceCounts, SentenceMetrics], str]
+) -> Iterator[tuple[int, str]]:
+    """(position, body(counts, metrics)) for each pair; a ValueError from body names the sentence.
 
-    body reads only W, u, N and S of counts, and _fold hands every sentence
-    of a signature one (counts, metrics) pair, so body runs once per key of
-    those four counts and the metrics object's identity. Identity, not value:
-    in a report built by hand, equal values such as 0.0 and -0.0 are formatted
-    apart. At most _MEMO_SIZE keys are remembered: past that many signatures,
-    _fold shares no new pair.
+    body reads only W, u, N and S of counts, and in the pairs of _fold and
+    aggregate every sentence of a signature shares one SentenceMetrics, so
+    body runs once per key of those four counts and the metrics object's
+    identity. Identity, not value: in a report built by hand, equal values
+    such as 0.0 and -0.0 are formatted apart. At most _MEMO_SIZE keys are
+    remembered: past that many signatures, _fold shares no new metrics.
     """
-    memo: dict[tuple, T] = {}
-    for index, counts, metrics in records:
+    memo: dict[tuple, str] = {}
+    for index, (counts, metrics) in enumerate(pairs):
         key = (counts.total_tokens, counts.undefined_tokens, counts.language_count, counts.switch_count, id(metrics))
         row = memo.get(key)
         if row is None:
@@ -260,7 +254,7 @@ def scatter_data(report: CorpusReport, index_name: str) -> list[tuple[int, float
     """(words, index value) pairs, one per sentence in corpus order."""
     if index_name not in INDEX_NAMES:
         raise ValueError(f"unknown index {index_name!r}; expected one of {', '.join(INDEX_NAMES)}")
-    return [(r.counts.total_tokens, getattr(r.metrics, index_name)) for r in report.per_sentence]
+    return [(counts.total_tokens, getattr(metrics, index_name)) for counts, metrics in report.per_sentence]
 
 
 def compare(report_a: CorpusReport, report_b: CorpusReport) -> CorpusComparison:

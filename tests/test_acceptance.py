@@ -49,19 +49,19 @@ def _fixture_report(name: str):
 def test_criterion_1_mathematical_cases():
     failures: list[str] = []
     report = _fixture_report("cases_math.tags")
-    rows = report.per_sentence
+    rows = [metrics for _, metrics in report.per_sentence]
     for i, (cmi_want, cf2_want, cf3_want) in enumerate(
         [(90.0, 95.0, 95.0), (0.0, 0.0, 0.0), (50.0, 67.5, 63.2), (50.0, 27.5, 25.7)]
     ):
-        _check(failures, f"case {i + 1} CMI", rows[i].metrics.cmi, cmi_want, 0.1)
-        _check(failures, f"case {i + 1} CF2", rows[i].metrics.cf2, cf2_want, 0.1)
-        _check(failures, f"case {i + 1} CF3", rows[i].metrics.cf3, cf3_want, 0.1)
+        _check(failures, f"case {i + 1} CMI", rows[i].cmi, cmi_want, 0.1)
+        _check(failures, f"case {i + 1} CF2", rows[i].cf2, cf2_want, 0.1)
+        _check(failures, f"case {i + 1} CF3", rows[i].cf3, cf3_want, 0.1)
     _finish("criterion 1: exact worked cases 1-4 within 0.1", failures)
 
 
 def test_criterion_2_real_text_fixtures():
     failures: list[str] = []
-    rows = _fixture_report("cases_text.tags").per_sentence
+    rows = [metrics for _, metrics in _fixture_report("cases_text.tags").per_sentence]
     expectations = {
         # sentence offset -> (case, cmi, cmi_tol, cf2, cf2_tol, cf3, cf3_tol)
         0: ("case 5", 47.0, 0.5, 23.2, 0.6, 21.3, 0.6),
@@ -76,11 +76,11 @@ def test_criterion_2_real_text_fixtures():
         6: ("case 11", 33.0, 0.5, 45.45, 0.6, 43.1, 0.6),
     }
     for offset, (case, cmi_want, cmi_tol, cf2_want, cf2_tol, cf3_want, cf3_tol) in expectations.items():
-        metrics = rows[offset].metrics
+        metrics = rows[offset]
         _check(failures, f"{case} CMI", metrics.cmi, cmi_want, cmi_tol)
         _check(failures, f"{case} CF2", metrics.cf2, cf2_want, cf2_tol)
         _check(failures, f"{case} CF3", metrics.cf3, cf3_want, cf3_tol)
-    if rows[1].metrics.switching_factor != 1.0:
+    if rows[1].switching_factor != 1.0:
         failures.append("case 6 SF must be exactly 1")
     _finish("criterion 2: real-text fixtures 5-11 within stated tolerances", failures)
 

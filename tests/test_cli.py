@@ -20,7 +20,6 @@ from codemix import (
 )
 from codemix.cli import main
 from codemix.render import (
-    _json_body,
     _report_json_pieces,
     render_per_sentence_csv,
     render_report_json,
@@ -236,6 +235,28 @@ class TestCompare:
         assert run(capsys, "compare", "-", "-") == (1, "", "error: -: standard input can be read only once\n")
         assert stdin.buffer.tell() == 0
 
+    @pytest.mark.parametrize("out", ["json", "csv"])
+    def test_inputs_with_one_stem_are_named_by_their_paths(self, capsys, tmp_path, out):
+        paths = [tmp_path / directory / "day.tags" for directory in ("a", "b")]
+        for path, text in zip(paths, ["a\tEN\nb\tHI\n", "a\tEN\n"]):
+            path.parent.mkdir()
+            path.write_text(text, encoding="utf-8")
+        code, got, err = run(capsys, "compare", *map(str, paths), "--out", out)
+        # Only the names differ from a compare of two files with distinct stems and the same contents.
+        for path, directory in zip(paths, ("c", "d")):
+            renamed = tmp_path / directory / f"{directory}.tags"
+            renamed.parent.mkdir()
+            renamed.write_bytes(path.read_bytes())
+        _, distinct, _ = run(capsys, "compare", str(tmp_path / "c" / "c.tags"), str(tmp_path / "d" / "d.tags"),
+                             "--out", out)
+        assert (code, err) == (0, "")
+        if out == "json":
+            payload = json.loads(got)
+            assert (payload["corpus_a"], payload["corpus_b"]) == tuple(map(str, paths))
+            assert {**payload, "corpus_a": "c", "corpus_b": "d"} == json.loads(distinct)
+        else:
+            assert got == distinct  # the CSV carries no corpus names
+
 
 class TestPlot:
     def test_csv_contract(self, capsys, tmp_path):
@@ -374,7 +395,7 @@ class TestSharedRows:
         sentences = parse_column_format(path.read_text(encoding="utf-8"), name=corpus)
         config = MetricConfig(*map(float, weights.split(",")))
         report = aggregate(sentences, config)
-        signatures = len({r.counts[:3] + r.counts[4:] for r in report.per_sentence})
+        signatures = len({counts[:3] + counts[4:] for counts, _ in report.per_sentence})
         assert signatures < len(sentences) / 10 if corpus == "repeats" else signatures == len(sentences)
         json_out = run(capsys, "analyze", str(path), "--per-sentence", "--weights", weights)
         assert json_out == (0, render_report_json(report, config, per_sentence=True), "")
@@ -392,7 +413,7 @@ class TestSharedRows:
         path = tmp_path / f"{corpus.name}.tags"
         path.write_text(write_corpus(corpus), encoding="utf-8")
         report = aggregate(corpus)
-        assert len({r.counts[:3] + r.counts[4:] for r in report.per_sentence}) > _MEMO_SIZE
+        assert len({counts[:3] + counts[4:] for counts, _ in report.per_sentence}) > _MEMO_SIZE
         json_out = run(capsys, "analyze", str(path), "--per-sentence")
         assert json_out == (0, render_report_json(report, DEFAULT_CONFIG, per_sentence=True), "")
         assert run(capsys, "analyze", str(path), "--out", "csv") == (0, render_per_sentence_csv(report), "")
@@ -401,15 +422,17 @@ class TestSharedRows:
         assert written.read_text(encoding="utf-8") == render_scatter_csv(scatter_data(report, "cf2"), "cf2")
 
     def test_per_sentence_closes_alike_for_rows_in_a_list_in_an_iterator_or_none(self):
+        # The rows come from the report itself: with per_sentence, without, and for a report that has none.
         report = aggregate(parse_column_format("a\tEN\nb\tHI\n\nc\tEN\n"))
-        rows = [(r.index, _json_body(r.counts, r.metrics)) for r in report.per_sentence]
+        payload = json.loads(render_report_json(report, DEFAULT_CONFIG))
         whole = render_report_json(report, DEFAULT_CONFIG, per_sentence=True)
-        assert "".join(_report_json_pieces(report, DEFAULT_CONFIG, rows)) == whole
-        assert "".join(_report_json_pieces(report, DEFAULT_CONFIG, iter(rows))) == whole
-        empty = json.dumps({**json.loads(render_report_json(report, DEFAULT_CONFIG)), "per_sentence": []}, indent=2)
-        for no_rows in ([], iter([])):
-            assert "".join(_report_json_pieces(report, DEFAULT_CONFIG, no_rows)) == empty + "\n"
-        assert render_report_json(report._replace(per_sentence=()), DEFAULT_CONFIG, True) == empty + "\n"
+        parsed = json.loads(whole)
+        assert ([row["index"] for row in parsed.pop("per_sentence")], parsed) == ([0, 1], payload)
+        assert "".join(_report_json_pieces(report, DEFAULT_CONFIG, True)) == whole
+        assert "".join(_report_json_pieces(report, DEFAULT_CONFIG, False)) == json.dumps(payload, indent=2) + "\n"
+        empty = json.dumps({**payload, "per_sentence": []}, indent=2) + "\n"
+        assert "".join(_report_json_pieces(report._replace(per_sentence=()), DEFAULT_CONFIG, True)) == empty
+        assert render_report_json(report._replace(per_sentence=()), DEFAULT_CONFIG, True) == empty
 
 
 def _child_env() -> dict[str, str]:

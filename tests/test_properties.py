@@ -27,7 +27,6 @@ from codemix import (
     Sentence,
     SentenceCounts,
     SentenceMetrics,
-    SentenceRecord,
     TagPolicy,
     UndefinedReason,
     UnknownTagAction,
@@ -48,7 +47,6 @@ from codemix.render import (
     _CSV_HEADER,
     _csv_body,
     _json_body,
-    _report_json_pieces,
     render_comparison_json,
     render_distribution_table,
     render_per_sentence_csv,
@@ -429,11 +427,9 @@ json_floats = st.sampled_from([1e-05, 5e-324, 1e300, -0.0, -0.001, 0.005, 62.008
 )
 json_ints = st.integers(min_value=0, max_value=2**53)
 json_weights = st.tuples(*[st.sampled_from([-0.0, 0.0, 50.0, 1e300]) | st.floats(min_value=0.0, max_value=1e300)] * 2)
-json_records = st.builds(
-    SentenceRecord,
-    index=json_ints,
-    counts=st.builds(SentenceCounts, json_ints, json_ints, json_ints, st.just({}), json_ints, json_ints, json_ints),
-    metrics=st.builds(SentenceMetrics, *[json_floats] * 7),
+json_records = st.tuples(
+    st.builds(SentenceCounts, json_ints, json_ints, json_ints, st.just(()), json_ints, json_ints, json_ints),
+    st.builds(SentenceMetrics, *[json_floats] * 7),
 )
 json_reports = st.builds(
     CorpusReport,
@@ -450,17 +446,17 @@ json_reports = st.builds(
 )
 
 
-def _sentence_dict(record: SentenceRecord) -> dict:
+def _sentence_dict(index: int, record: tuple[SentenceCounts, SentenceMetrics]) -> dict:
     """One per-sentence row as a dict for json.dumps: the reference for the row template."""
-    m = record.metrics
+    counts, m = record
     raw = {"LF": m.language_factor, "SF": m.switching_factor, "MF": m.mix_factor, "CMI": m.cmi,
            "CF1": m.cf1, "CF2": m.cf2, "CF3": m.cf3}
     return {
-        "index": record.index,
-        "W": record.counts.total_tokens,
-        "u": record.counts.undefined_tokens,
-        "N": record.counts.language_count,
-        "S": record.counts.switch_count,
+        "index": index,
+        "W": counts.total_tokens,
+        "u": counts.undefined_tokens,
+        "N": counts.language_count,
+        "S": counts.switch_count,
         **{key: round(value, 2) for key, value in raw.items()},
         "raw": raw,
     }
@@ -470,15 +466,15 @@ def _sentence_dict(record: SentenceRecord) -> dict:
 def test_report_json_equals_json_dumps_layout(report, weights):
     config = MetricConfig(*weights)
     payload = json.loads(render_report_json(report, config))  # the header, still json.dumps itself
-    payload["per_sentence"] = [_sentence_dict(record) for record in report.per_sentence]
+    payload["per_sentence"] = list(itertools.starmap(_sentence_dict, enumerate(report.per_sentence)))
     assert render_report_json(report, config, per_sentence=True) == json.dumps(payload, indent=2) + "\n"
 
 
-def _csv_line(record: SentenceRecord) -> str:
+def _csv_line(index: int, record: tuple[SentenceCounts, SentenceMetrics]) -> str:
     """One per-sentence CSV line, cell by cell: the reference for the CSV row."""
-    counts = record.counts
-    ints = (record.index, counts.total_tokens, counts.undefined_tokens, counts.language_count, counts.switch_count)
-    return ",".join([*map(str, ints), *(f"{value:.2f}" for value in record.metrics)]) + "\n"
+    counts, metrics = record
+    ints = (index, counts.total_tokens, counts.undefined_tokens, counts.language_count, counts.switch_count)
+    return ",".join([*map(str, ints), *(f"{value:.2f}" for value in metrics)]) + "\n"
 
 
 @pytest.mark.parametrize("values", [(0.0, -0.0), (1 / 3, 2 / 3)], ids=["signed-zeros", "unequal"])
@@ -487,16 +483,15 @@ def test_rows_render_apart_unless_they_share_counts_and_metrics_object(values):
     # signature with another object, even an equal one, gets its own row, and so
     # does one object under other counts.
     report = aggregate(make_corpus([["L1", "L2", "L1"]]))
-    counts = report.per_sentence[0].counts
+    [(counts, _)] = report.per_sentence
     other = counts._replace(switch_count=1)
     first, second = (SentenceMetrics(*[value] * 7) for value in values)
-    records = tuple(map(SentenceRecord, range(5), [counts, counts, counts, counts, other],
-                        [first, second, first, second, first]))
+    records = tuple(zip([counts, counts, counts, counts, other], [first, second, first, second, first]))
     report = report._replace(per_sentence=records)
     payload = json.loads(render_report_json(report, DEFAULT_CONFIG))
-    payload["per_sentence"] = [_sentence_dict(record) for record in records]
+    payload["per_sentence"] = list(itertools.starmap(_sentence_dict, enumerate(records)))
     assert render_report_json(report, DEFAULT_CONFIG, per_sentence=True) == json.dumps(payload, indent=2) + "\n"
-    assert render_per_sentence_csv(report) == _CSV_HEADER + "".join(map(_csv_line, records))
+    assert render_per_sentence_csv(report) == _CSV_HEADER + "".join(itertools.starmap(_csv_line, enumerate(records)))
 
 
 def test_rows_past_the_memo_cap_render_as_the_per_record_path():
@@ -505,26 +500,27 @@ def test_rows_past_the_memo_cap_render_as_the_per_record_path():
     records = report.per_sentence
     # The repeats of the first signatures share their metrics; past the cap, each sentence has its own.
     assert len(records) - 200 > _MEMO_SIZE
-    assert len({id(record.metrics) for record in records}) == len(records) - 100
-    rows = ((r.index, _json_body(r.counts, r.metrics)) for r in records)
-    assert render_report_json(report, config, per_sentence=True) == "".join(_report_json_pieces(report, config, rows))
-    per_record = _CSV_HEADER + "".join(f"{r.index},{_csv_body(r.counts, r.metrics)}" for r in records)
+    assert len({id(metrics) for _, metrics in records}) == len(records) - 100
+    rendered = render_report_json(report, config, per_sentence=True)
+    head = rendered[: rendered.index('    {\n      "index": 0,')]
+    rows = ",\n".join(f'    {{\n      "index": {index}{_json_body(*record)}' for index, record in enumerate(records))
+    assert rendered == f"{head}{rows}\n  ]\n}}\n"
+    per_record = _CSV_HEADER + "".join(f"{index},{_csv_body(*record)}" for index, record in enumerate(records))
     assert render_per_sentence_csv(report) == per_record
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_report_json_rejects_non_finite_values(value):
     report = aggregate(make_corpus([["L1", "L2"], ["L1", "L2", "L2"]]))
-    first, second = report.per_sentence
-    bad_row = second._replace(metrics=second.metrics._replace(cf2=value))
+    first, (counts, metrics) = report.per_sentence
+    bad_row = (counts, metrics._replace(cf2=value))
     with pytest.raises(ValueError, match=f"^sentence 1: CF2 is {value!r}, "):
         render_report_json(report._replace(per_sentence=(first, bad_row)), DEFAULT_CONFIG, True)
     with pytest.raises(ValueError, match="JSON compliant"):
         render_report_json(report._replace(cmi_all=value), DEFAULT_CONFIG)
     # Finite values whose sum overflows are still printed.
-    huge = second.metrics._replace(cf1=1e308, cf2=1e308)
-    rendered = render_report_json(report._replace(per_sentence=(first._replace(metrics=huge),)),
-                                  DEFAULT_CONFIG, per_sentence=True)
+    huge = (first[0], metrics._replace(cf1=1e308, cf2=1e308))
+    rendered = render_report_json(report._replace(per_sentence=(huge,)), DEFAULT_CONFIG, per_sentence=True)
     assert '"CF2": 1e+308' in rendered
 
 
@@ -563,7 +559,7 @@ def test_streamed_summary_equals_fmean_min_max(signatures, pool, seed):
         return SentenceMetrics(*[values[counts.switch_count]] * 7)
 
     with mock.patch("codemix.stats.metrics_from_counts", metrics):
-        report, _ = _fold("pairs", sentences, DEFAULT_CONFIG)
+        report = _fold("pairs", sentences, DEFAULT_CONFIG)
     expanded = [values[counts.switch_count] for counts in sentences]
     expected = [min(expanded).hex(), max(expanded).hex(), fmean(expanded).hex()]
     for index_name in INDEX_NAMES:

@@ -29,7 +29,6 @@ PUBLIC_NAMES = [
     "Sentence",
     "SentenceCounts",
     "SentenceMetrics",
-    "SentenceRecord",
     "TagPolicy",
     "Token",
     "UndefinedReason",
@@ -74,7 +73,6 @@ def _value_instances() -> dict[str, tuple[object, str]]:
         "GenSpec": (codemix.GenSpec(1, 2, 2), "seed"),
         "SentenceCounts": (counts, "switch_count"),
         "SentenceMetrics": (codemix.metrics_from_counts(counts), "cf2"),
-        "SentenceRecord": (report.per_sentence[0], "metrics"),
         "LanguageDistributionRow": (report.distribution[0], "percentage"),
         "IndexSummaryRow": (report.summary[0], "mean"),
         "CorpusReport": (report, "cmi_all"),

@@ -4,6 +4,7 @@ import math
 import random
 import re
 import tracemalloc
+from collections import Counter
 from statistics import fmean
 from unittest import mock
 
@@ -19,6 +20,7 @@ from codemix import (
     SentenceCounts,
     aggregate,
     compare,
+    count_sentence,
     generate,
     language_distribution,
     metrics_from_counts,
@@ -115,7 +117,8 @@ class TestAggregate:
     def test_weights_flow_through(self):
         corpus = make_corpus([["L1", "L2"] * 5])
         report = aggregate(corpus, MetricConfig(mix_weight=100.0, switch_weight=0.0))
-        assert report.per_sentence[0].metrics.cf2 == pytest.approx(45.0)
+        [(_, metrics)] = report.per_sentence
+        assert metrics.cf2 == pytest.approx(45.0)
 
     def test_token_count_and_lengths(self):
         report = aggregate(make_corpus([["EN", "BN"], ["HI"]]))
@@ -130,14 +133,14 @@ class TestAggregate:
 
     def test_summary_folded_over_repeated_signatures_equals_statistics_over_the_records(self):
         report = aggregate(generate(GenSpec(3000, (3, 12), 3, Arrangement.RANDOM, 0.2, seed=11)))
-        assert len({_signature(r.counts) for r in report.per_sentence}) < report.sentence_count // 10
+        assert len({_signature(counts) for counts, _ in report.per_sentence}) < report.sentence_count // 10
         for row in report.summary:
             if row.index_name == "words_per_sentence":
-                values = [float(r.counts.total_tokens) for r in report.per_sentence]
+                values = [float(counts.total_tokens) for counts, _ in report.per_sentence]
             else:
-                values = [getattr(r.metrics, row.index_name) for r in report.per_sentence]
+                values = [getattr(metrics, row.index_name) for _, metrics in report.per_sentence]
             assert (row.min, row.max, row.mean.hex()) == (min(values), max(values), fmean(values).hex())
-        cmi = [r.metrics.cmi for r in report.per_sentence]
+        cmi = [metrics.cmi for _, metrics in report.per_sentence]
         assert report.cmi_all.hex() == fmean(cmi).hex()
         assert report.cmi_mixed.hex() == fmean([v for v in cmi if v > 0]).hex()
 
@@ -185,7 +188,8 @@ class TestSignatureMemo:
         sentences.extend(rng.choices(distinct, k=2000))
         config = MetricConfig(30.0, 70.0)
         with mock.patch("codemix.stats.metrics_from_counts", wraps=metrics_from_counts) as evaluated:
-            report, pairs = _fold("memo", sentences, config, per_sentence=True)
+            report = _fold("memo", sentences, config, per_sentence=True)
+        pairs = report.per_sentence
         expected = [metrics_from_counts(counts, config) for counts in sentences]
         assert [_signature(counts) for counts, _ in pairs] == [_signature(counts) for counts in sentences]
         assert [[v.hex() for v in m] for _, m in pairs] == [[v.hex() for v in m] for m in expected]
@@ -217,10 +221,12 @@ class TestSignatureMemo:
     def test_aggregate_records_keep_their_own_counts_and_share_metrics(self):
         corpus = make_corpus([["EN", "HI"], ["BN", "TA"], ["EN", "HI"], ["EN", None]])
         records = aggregate(corpus).per_sentence
-        assert [r.index for r in records] == [0, 1, 2, 3]
-        assert dict(records[1].counts.per_language) == {"BN": 1, "TA": 1}
-        assert records[0].metrics is records[1].metrics is records[2].metrics
-        assert records[3].metrics == metrics_from_counts(records[3].counts)
+        (counts0, metrics0), (counts1, metrics1), (counts2, metrics2), (counts3, metrics3) = records
+        # Each sentence keeps its own counts, though the fold shares one pair per signature.
+        assert [counts0, counts1, counts2, counts3] == [count_sentence(sentence) for sentence in corpus.sentences]
+        assert dict(counts1.per_language) == {"BN": 1, "TA": 1}
+        assert metrics0 is metrics1 is metrics2
+        assert metrics3 == metrics_from_counts(counts3)
 
     @pytest.mark.parametrize("first", [3, _MEMO_SIZE + 5], ids=["remembered", "past-the-cap"])
     def test_a_non_finite_index_names_the_first_sentence_that_has_it(self, first):
@@ -229,9 +235,23 @@ class TestSignatureMemo:
         bad_counts = _counts(2, 0, 1, 2, 0)
         bad = (bad_counts, metrics_from_counts(bad_counts)._replace(language_factor=math.inf))
         pairs = [*good, bad, *good[:10], bad]
-        records = [(index, counts, metrics) for index, (counts, metrics) in enumerate(pairs)]
         with pytest.raises(ValueError, match=f"^sentence {first}: LF is inf, which JSON cannot hold$"):
-            list(_rows(records, _json_body))
+            list(_rows(pairs, _json_body))
+
+    def test_rows_remember_at_most_memo_size_keys(self):
+        metrics = metrics_from_counts(_counts(1, 0, 1, 1, 0))
+        early = [(_counts(total, 0, 1, total, 0), metrics) for total in range(1, _MEMO_SIZE + 1)]
+        late = (_counts(_MEMO_SIZE + 1, 0, 1, _MEMO_SIZE + 1, 0), metrics)
+        calls = Counter()
+
+        def body(counts, _):
+            calls[counts.total_tokens] += 1
+            return str(counts.total_tokens)
+
+        pairs = [*early, late, late, early[0]]
+        assert list(_rows(pairs, body)) == [(index, str(counts.total_tokens)) for index, (counts, _) in enumerate(pairs)]
+        # The memo is full before the late key comes, so it is formatted each time; the first key is still remembered.
+        assert (calls[_MEMO_SIZE + 1], calls[1], len(calls)) == (2, 1, _MEMO_SIZE + 1)
 
     def test_peak_memory_stops_growing_at_the_memo_size(self):
         def distinct(count):  # made one at a time, so that the input holds no memory
