@@ -106,7 +106,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     report = _report(args.file, args)
-    sys.stdout.write(f"corpus: {report.corpus_name or args.file}\n")
+    sys.stdout.write(f"corpus: {report.corpus_name}\n")
     sys.stdout.write(f"sentences: {report.sentence_count}  tokens: {report.token_count}\n")
     sys.stdout.write(f"CMI all: {report.cmi_all:.2f}  CMI mixed: {report.cmi_mixed:.2f}\n\n")
     sys.stdout.write(render_distribution_table(report))

@@ -9,9 +9,11 @@ INLINE -- one sentence per line; tokens separated by single spaces; each
   token is "surface/TAG" where the LAST slash is the separator, so surfaces
   may themselves contain slashes.
 
-Both formats are UTF-8 and carry no metadata beyond the tokens, so writing
-then parsing reproduces an equal corpus (name excluded) under a policy that
-registers every language code in it; L<n> codes need no registration.
+Both formats are UTF-8 and carry no metadata beyond the tokens. A language
+code holds no whitespace and no '/', so both carry every tag: writing then
+parsing reproduces an equal corpus (name excluded) in COLUMN, and in INLINE
+if no surface holds a space, under a policy that registers every language
+code in it; L<n> codes need no registration.
 """
 
 from __future__ import annotations
@@ -249,23 +251,13 @@ def _scan_inline(lines: Iterable[str], tags: _Tags, name: str, warn: _Warn = _lo
                 if unsafe and ("\t" in surface or "\r" in surface):
                     raise ValueError(f"token surface contains tab/newline: {surface!r}")
             except ValueError as exc:
-                raise ParseError(lineno, f"token {position}: {_inline_reason(exc, chunk, tags.policy)}") from exc
+                raise ParseError(lineno, f"token {position}: {exc}") from exc
             surfaces.append(surface)
         last = lineno
         yield surfaces, sentence
     skipped -= lineno - last  # every line after the last sentence is blank, and was counted
     if skipped:
         warn(f"{name or '<inline stream>'}: skipped {skipped} empty sentence(s)")
-
-
-def _inline_reason(exc: ValueError, chunk: str, policy: TagPolicy) -> str:
-    """Why an INLINE token failed; an unknown tag cut from a registered code with a '/' names that code."""
-    upper = chunk.upper()
-    cut = [code for code in policy.language_codes if "/" in code and upper.endswith("/" + code)]
-    if not isinstance(exc, UnknownTagError) or not cut:
-        return str(exc)
-    code = max(cut, key=len)
-    return f"{exc}: INLINE takes the text after the last '/' as the tag, so it cannot carry the code {code!r}"
 
 
 def _corpus(
@@ -298,7 +290,7 @@ def write_corpus(corpus: Corpus, fmt: CorpusFormat = CorpusFormat.COLUMN) -> str
     """Serialize a corpus; parse(write(c), policy) == c for both formats if policy registers c's codes.
 
     Under the default policy, a code outside DEFAULT_LANGUAGES that is not L<n> raises ParseError.
-    INLINE raises ValueError for a surface with a space or a tag with a '/', which it cannot carry.
+    INLINE raises ValueError for a surface with a space, which it cannot carry.
     """
     if fmt is CorpusFormat.COLUMN:
         parts = []
@@ -310,12 +302,11 @@ def write_corpus(corpus: Corpus, fmt: CorpusFormat = CorpusFormat.COLUMN) -> str
     if fmt is CorpusFormat.INLINE:
         lines = []
         for sentence in corpus.sentences:
-            pairs = [(surface, _tag_text(tag)) for surface, tag in zip(sentence.surfaces, sentence.tags)]
-            for surface, text in pairs:
+            tokens = []
+            for surface, tag in zip(sentence.surfaces, sentence.tags):
                 if " " in surface:
                     raise ValueError(f"surface {surface!r} not representable in INLINE format")
-                if "/" in text:  # the last '/' of a token ends its surface
-                    raise ValueError(f"tag {text!r} not representable in INLINE format")
-            lines.append(" ".join(f"{surface}/{text}" for surface, text in pairs) + "\n")
+                tokens.append(f"{surface}/{_tag_text(tag)}")
+            lines.append(" ".join(tokens) + "\n")
         return "".join(lines)
     raise ValueError(f"unknown corpus format: {fmt!r}")

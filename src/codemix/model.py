@@ -73,7 +73,7 @@ class LanguageTag(_Immutable):
         else:
             if reason is not None:
                 raise ValueError("language tag cannot carry an undefined reason")
-            if not code or code != code.upper() or any(c.isspace() for c in code):
+            if not code or code != code.upper() or "/" in code or any(c.isspace() for c in code):
                 raise ValueError(f"malformed language code: {code!r}")
         object.__setattr__(self, "code", code)
         object.__setattr__(self, "reason", reason)

@@ -69,7 +69,10 @@ def _json_body(counts: SentenceCounts, metrics: SentenceMetrics) -> str:
 
 
 def render_report_json(report: CorpusReport, config: MetricConfig, per_sentence: bool = False) -> str:
-    """The report as JSON in json.dumps(indent=2) layout; a non-finite value raises ValueError."""
+    """The report as JSON in json.dumps(indent=2) layout; a non-finite value raises ValueError.
+
+    config must be the one the report was aggregated with: only its weights are printed.
+    """
     return "".join(_report_json_pieces(report, config, per_sentence))
 
 

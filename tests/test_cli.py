@@ -165,22 +165,9 @@ class TestAnalyze:
             ("un", "language codes and undefined aliases overlap: ['UN']"),
             (",", "--languages requires at least one code"),
             ("e n", "malformed language code: 'E N'"),
+            ("a/b", "malformed language code: 'A/B'"),
         ):
             assert run(capsys, "stats", str(src), "--languages", codes) == (1, "", f"error: {src}: {reason}\n")
-
-    def test_inline_error_for_a_code_with_a_slash_says_why(self, capsys, monkeypatch):
-        registry = ["--format", "inline", "--languages", "A/B,EN"]
-        hint = "INLINE takes the text after the last '/' as the tag, so it cannot carry the code 'A/B'"
-        for data, argv, expected in (
-            (b"x/A/B y/EN\n", registry, (1, "", f"error: -: line 1: token 1: unknown tag 'B': {hint}\n")),
-            (b"y/EN\nx/a/b\n", registry, (1, "", f"error: -: line 2: token 1: unknown tag 'b': {hint}\n")),
-            (b"x/A/C y/EN\n", registry, (1, "", "error: -: line 1: token 1: unknown tag 'C'\n")),
-        ):
-            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
-            assert run(capsys, "stats", "-", *argv) == expected
-        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"x/A/B y/EN\n"), encoding="utf-8"))
-        code, out, err = run(capsys, "stats", "-", *registry, "--unknown", "undefined")
-        assert (code, err) == (0, "") and "tokens: 2" in out
 
     def test_dash_reads_stdin(self, capsys, monkeypatch):
         for data, expected_out, expected_err in (

@@ -74,6 +74,8 @@ class TestNormalizeTag:
     def test_policy_rejects_malformed_codes(self):
         with pytest.raises(ValueError, match=r"^malformed language code: 'E N'$"):
             TagPolicy(language_codes=frozenset({"e n", "EN"}))
+        with pytest.raises(ValueError, match=r"^malformed language code: 'A/B'$"):
+            TagPolicy(language_codes={"A/B"})
 
 
 class TestColumnParsing:
@@ -207,13 +209,6 @@ class TestWriting:
         with pytest.raises(ValueError):
             write_corpus(corpus, CorpusFormat.INLINE)
 
-    def test_inline_rejects_slash_in_tag(self):
-        policy = TagPolicy(language_codes=frozenset({"A/B", "EN"}), unknown_tag_action=UnknownTagAction.TREAT_UNDEFINED)
-        corpus = parse_column_format("x\tA/B\ny\tEN\n", policy)
-        assert parse_column_format(write_corpus(corpus, CorpusFormat.COLUMN), policy) == corpus
-        with pytest.raises(ValueError, match="tag 'A/B' not representable in INLINE format"):
-            write_corpus(corpus, CorpusFormat.INLINE)
-
     def test_corpus_equality_ignores_name(self):
         a = make_corpus([["EN", "BN"]], name="a")
         b = make_corpus([["EN", "BN"]], name="b")
@@ -252,6 +247,7 @@ class TestModelValidation:
         [
             (None, None, "undefined tag requires a reason"),
             ("EN", UndefinedReason.SYMBOL, "language tag cannot carry an undefined reason"),
+            ("A/B", None, "malformed language code: 'A/B'"),
         ],
     )
     def test_tag_rejects_a_code_and_reason_mismatch(self, code, reason, message):

@@ -10,7 +10,7 @@ from statistics import fmean
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from codemix import (
@@ -192,6 +192,19 @@ def test_round_trip_identity_both_formats(sentence_specs):
     corpus = Corpus(name="prop", sentences=tuple(sentences))
     assert parse_column_format(write_corpus(corpus, CorpusFormat.COLUMN)) == corpus
     assert parse_inline_format(write_corpus(corpus, CorpusFormat.INLINE)) == corpus
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet="/ abLl09éßǆἀ", min_size=1, max_size=4))
+def test_both_formats_carry_every_code_a_policy_takes(code):
+    try:
+        policy = TagPolicy([code])
+    except ValueError:
+        assume(False)
+    tag = LanguageTag.language(code)
+    corpus = Corpus(name="prop", sentences=(Sentence(surfaces=("w0", "w1"), tags=(tag, tag)),))
+    assert parse_column_format(write_corpus(corpus, CorpusFormat.COLUMN), policy) == corpus
+    assert parse_inline_format(write_corpus(corpus, CorpusFormat.INLINE), policy) == corpus
 
 
 raw_tags = st.sampled_from(["EN", "en", "Hi", "BN", "L1", "l2", "L10", "UN", "univ", "ne", "X", "MIX", "Other"])
