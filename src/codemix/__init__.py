@@ -40,7 +40,7 @@ from .stats import (
     language_distribution,
     scatter_data,
 )
-from .synth import Arrangement, GenSpec, Xoshiro256StarStar, generate
+from .synth import Arrangement, GenSpec, generate
 
 __version__ = "0.1.0"
 
@@ -69,7 +69,6 @@ __all__ = [
     "UndefinedReason",
     "UnknownTagAction",
     "UnknownTagError",
-    "Xoshiro256StarStar",
     "aggregate",
     "analyze_sentence",
     "compare",

@@ -41,7 +41,7 @@ def _warn(message: str) -> None:
 
 def _build_policy(args: argparse.Namespace) -> TagPolicy:
     kwargs: dict = {}
-    if args.language_codes:
+    if args.language_codes is not None:
         codes = [c.strip() for c in args.language_codes.split(",") if c.strip()]
         if not codes:
             raise ValueError("--languages requires at least one code")

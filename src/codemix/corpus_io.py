@@ -96,7 +96,7 @@ DEFAULT_POLICY = TagPolicy()
 
 
 def _is_synthetic_code(code: str) -> bool:
-    return len(code) > 1 and code[0] == "L" and code[1:].isdigit()
+    return len(code) > 1 and code[0] == "L" and code[1:].isdecimal()
 
 
 def normalize_tag(raw: str, policy: TagPolicy = DEFAULT_POLICY) -> LanguageTag:
@@ -283,7 +283,7 @@ def parse_inline_format(text: str, policy: TagPolicy = DEFAULT_POLICY, name: str
 
 
 def _tag_text(tag: LanguageTag) -> str:
-    return tag.code if tag.is_language else tag.reason.value
+    return tag.code if tag.code is not None else tag.reason.value
 
 
 def write_corpus(corpus: Corpus, fmt: CorpusFormat = CorpusFormat.COLUMN) -> str:

@@ -86,16 +86,8 @@ class LanguageTag(_Immutable):
     def undefined(cls, reason: UndefinedReason = UndefinedReason.UNIVERSAL) -> "LanguageTag":
         return cls(code=None, reason=reason)
 
-    @property
-    def is_language(self) -> bool:
-        return self.code is not None
-
-    @property
-    def is_undefined(self) -> bool:
-        return self.code is None
-
     def __repr__(self) -> str:
-        if self.is_language:
+        if self.code is not None:
             return f"LanguageTag({self.code})"
         return f"LanguageTag(undefined:{self.reason.value})"
 
@@ -103,8 +95,7 @@ class LanguageTag(_Immutable):
 class Token(NamedTuple):
     """A surface form paired with its language tag: one position of a Sentence.
 
-    Sentence.tokens builds these on demand, and Sentence.from_tokens takes
-    them; a Token is checked when a sentence is built from it, not here.
+    Sentence.tokens builds these on demand.
     """
 
     surface: str
@@ -153,12 +144,6 @@ class Sentence(_Immutable):
         object.__setattr__(sentence, "surfaces", tuple(surfaces))
         object.__setattr__(sentence, "tags", tuple(tags))
         return sentence
-
-    @classmethod
-    def from_tokens(cls, tokens: Iterable[Token]) -> "Sentence":
-        """The sentence of these tokens, in order, checked as any sentence is."""
-        tokens = tuple(tokens)
-        return cls(tuple(t.surface for t in tokens), tuple(t.tag for t in tokens))
 
     @property
     def tokens(self) -> tuple[Token, ...]:

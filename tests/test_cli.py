@@ -162,6 +162,7 @@ class TestAnalyze:
         code, _, _ = run(capsys, "analyze", str(src), "--languages", "ES,EN")
         assert code == 0
         for codes, reason in (
+            ("", "--languages requires at least one code"),
             ("un", "language codes and undefined aliases overlap: ['UN']"),
             (",", "--languages requires at least one code"),
             ("e n", "malformed language code: 'E N'"),

@@ -79,6 +79,17 @@ LIBRARY_SOURCES = [
 ]
 
 
+# Both corpora are monolingual, so every index that the weights scale is 0 on them, and CSV
+# prints no weights: their 30,70 CSV is their 50,50 CSV, and one file pins both.
+WEIGHT_FREE_CSV = {"repeats", "synth_mono_un"}
+
+
+def golden(name: str, output: str) -> Path:
+    if name in WEIGHT_FREE_CSV and output == "analyze_w30_70.csv":
+        output = "analyze.csv"
+    return GOLDEN / f"{name}.{output}"
+
+
 def stdout_bytes(capsys, argv: list[str]) -> bytes:
     assert main(argv) == 0
     return capsys.readouterr().out.encode("utf-8")
@@ -116,7 +127,7 @@ def test_library_generate_equals_the_parsed_cli_text(caplog, name):
 def test_stdout(capsys, source, output):
     command, *flags = STDOUT_OUTPUTS[output]
     argv = [command, str(SOURCES[source]), *flags]
-    assert stdout_bytes(capsys, argv) == (GOLDEN / f"{source}.{output}").read_bytes()
+    assert stdout_bytes(capsys, argv) == golden(source, output).read_bytes()
 
 
 def test_exponent_form_floats(capsys, tmp_path):
@@ -159,7 +170,7 @@ def test_inline_plot(tmp_path, source, target):
 def test_shared_row_stdout(capsys, source, output):
     command, *flags = STDOUT_OUTPUTS[output]
     argv = [command, str(SHARED_ROW_SOURCES[source]), *flags]
-    assert stdout_bytes(capsys, argv) == (GOLDEN / f"{source}.{output}").read_bytes()
+    assert stdout_bytes(capsys, argv) == golden(source, output).read_bytes()
 
 
 def test_int_weights_render_as_the_default_weights():
@@ -177,6 +188,6 @@ def test_library_renderers(name, path, parse, weights):
     config = MetricConfig(*map(float, weights.split(",")))
     suffix = "" if weights == "50,50" else "_w30_70"
     report = aggregate(parse(path.read_bytes().decode("utf-8"), name=name), config)
-    json_golden = GOLDEN / f"{name}.analyze_per_sentence{suffix}.json"
+    json_golden = golden(name, f"analyze_per_sentence{suffix}.json")
     assert render_report_json(report, config, per_sentence=True).encode("utf-8") == json_golden.read_bytes()
-    assert render_per_sentence_csv(report).encode("utf-8") == (GOLDEN / f"{name}.analyze{suffix}.csv").read_bytes()
+    assert render_per_sentence_csv(report).encode("utf-8") == golden(name, f"analyze{suffix}.csv").read_bytes()

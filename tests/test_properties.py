@@ -244,7 +244,7 @@ any_tags = st.sampled_from(
 def test_sentence_from_its_tokens_is_itself(token_specs):
     sentence = Sentence(tuple(s for s, _ in token_specs), tuple(t for _, t in token_specs))
     assert [(t.surface, t.tag) for t in sentence.tokens] == token_specs
-    again = Sentence.from_tokens(sentence.tokens)
+    again = Sentence(*zip(*sentence.tokens))
     assert again == sentence
     assert hash(again) == hash(sentence)
 

@@ -11,13 +11,13 @@ from codemix import (
     CorpusFormat,
     GenSpec,
     LanguageTag,
-    Xoshiro256StarStar,
     analyze_sentence,
     count_sentence,
     generate,
     write_corpus,
 )
 from codemix.cli import main
+from codemix.synth import Xoshiro256StarStar
 from conftest import enumerate_small
 
 
@@ -68,7 +68,7 @@ class TestGenerate:
     def test_undefined_ratio_yields_floor_count_at_interior_positions(self):
         corpus = generate(GenSpec(sentence_count=1, words=10, language_count=2, undefined_ratio=0.25))
         tags = corpus.sentences[0].tokens
-        undefined_positions = [i for i, t in enumerate(tags) if t.tag.is_undefined]
+        undefined_positions = [i for i, t in enumerate(tags) if t.tag.code is None]
         assert len(undefined_positions) == 2  # floor(0.25 * 10)
         assert 0 not in undefined_positions
         counts = count_sentence(corpus.sentences[0])
