@@ -72,17 +72,16 @@ def _report(
 
     The report is aggregate(parse_*_format(text)) without building a token,
     and without per_sentence unless asked. Its per-sentence pairs are the
-    fold's, one per signature, which the library renderers read as they read
-    aggregate's. Rows are formatted after the fold, but for parsed input that
-    cannot fail, as MetricConfig keeps every index finite, so a command that
-    fails still writes nothing.
+    fold's, one per signature, as aggregate's are. Rows are formatted after
+    the fold, but for parsed input that cannot fail, as MetricConfig keeps
+    every index finite, so a command that fails still writes nothing.
     """
     scan = _scan_inline if args.format == "inline" else _scan_column
     try:
         tags = _Tags(_build_policy(args))
         with contextlib.nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as binary:
-            counts = (_count_tags(sentence) for _, sentence in scan(_read_lines(binary), tags, path, _warn))
-            return _fold(Path(path).stem, counts, config, per_sentence)
+            counted = (_count_tags(sentence) for _, sentence in scan(_read_lines(binary), tags, path, _warn))
+            return _fold(Path(path).stem, counted, config, per_sentence)
     except OSError as exc:
         raise ValueError(f"{path}: {exc.strerror or exc}") from exc
     except ValueError as exc:  # a bad policy flag, undecodable bytes, a ParseError or an empty corpus
@@ -130,9 +129,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_plot(args: argparse.Namespace) -> int:
     pairs = scatter_data(_report(args.file, args, per_sentence=True), args.index)
-    target, render = (args.svg, render_scatter_svg) if args.svg else (args.csv, render_scatter_csv)
+    target, render = (args.svg, render_scatter_svg) if args.svg is not None else (args.csv, render_scatter_csv)
+    text = render(pairs, args.index)
     try:
-        Path(target).write_text(render(pairs, args.index), encoding="utf-8")
+        with open(target, "w", encoding="utf-8") as out:
+            out.write(text)
     except OSError as exc:
         raise ValueError(f"{target}: {exc.strerror or exc}") from exc
     return 0

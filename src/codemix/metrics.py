@@ -36,7 +36,7 @@ class MetricConfig(namedtuple("MetricConfig", ("mix_weight", "switch_weight"))):
         for weight in (mix_weight, switch_weight):
             if isinstance(weight, (str, bytes, bytearray)):  # float() would parse it
                 raise TypeError(f"weights must be numbers, not {weight!r}")
-        mix_weight, switch_weight = float(mix_weight), float(switch_weight)
+        mix_weight, switch_weight = float(mix_weight) + 0.0, float(switch_weight) + 0.0  # + 0.0 turns -0.0 into 0.0
         # A finite sum also keeps every CF finite: CF <= a + b, as MF, SF <= 1 <= f(LF).
         if not math.isfinite(mix_weight + switch_weight):
             raise ValueError("weights and their sum must be finite")
@@ -57,11 +57,10 @@ DEFAULT_CONFIG = MetricConfig()
 class SentenceCounts(NamedTuple):
     """Counting summary of one sentence; input to every index formula.
 
-    per_language holds one (code, count) pair per language present, in order of
-    first appearance, and equality compares the pairs in that order; compare
-    dict(per_language) for an order-free test. Keeping that order costs nothing,
-    where sorting would add a sort per sentence. language_count and
-    dominant_count follow from per_language, but the corpus fold reads both for
+    The counts are the sentence's signature: every index is a function of
+    them, so equal counts are equal, hashable values with equal metrics.
+    language_count and dominant_count follow from the per-language counts,
+    which _count_tags returns beside these, but the corpus fold reads both for
     every sentence, so they are stored rather than worked out there. The
     lengths of the language runs are not kept: no index reads them.
     """
@@ -69,9 +68,8 @@ class SentenceCounts(NamedTuple):
     total_tokens: int  # W, undefined tokens included
     undefined_tokens: int  # u
     tagged_tokens: int  # W' = W - u
-    per_language: tuple[tuple[str, int], ...]
     language_count: int  # N, distinct languages with a nonzero count
-    dominant_count: int  # max over per_language, 0 when no language present
+    dominant_count: int  # the largest per-language count, 0 when no language present
     switch_count: int  # S, switches over the language-bearing subsequence
 
 
@@ -88,12 +86,12 @@ class SentenceMetrics(NamedTuple):
 
 
 def count_sentence(sentence: Sentence) -> SentenceCounts:
-    """Tally tokens, per-language counts and switch points for one sentence."""
-    return _count_tags(sentence.tags)
+    """Tally tokens, languages and switch points for one sentence."""
+    return _count_tags(sentence.tags)[0]
 
 
-def _count_tags(tags: Sequence[LanguageTag]) -> SentenceCounts:
-    """The counting summary of one sentence's tags, in token order."""
+def _count_tags(tags: Sequence[LanguageTag]) -> tuple[SentenceCounts, dict[str, int]]:
+    """The counting summary of one sentence's tags, in token order, and its {code: count}."""
     per_language: dict[str, int] = {}
     undefined = 0
     switches = 0
@@ -109,15 +107,10 @@ def _count_tags(tags: Sequence[LanguageTag]) -> SentenceCounts:
         previous_code = code
     total = len(tags)
     # Positional, in field order: keyword arguments made the count ~20% slower on short sentences.
-    return SentenceCounts(
-        total,
-        undefined,
-        total - undefined,
-        tuple(per_language.items()),
-        len(per_language),
-        max(per_language.values(), default=0),
-        switches,
+    counts = SentenceCounts(
+        total, undefined, total - undefined, len(per_language), max(per_language.values(), default=0), switches
     )
+    return counts, per_language
 
 
 def _linear_divisor(lf: float, total_tokens: int) -> float:

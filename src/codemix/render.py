@@ -53,7 +53,7 @@ _ROW_BODY = """,
 
 
 def _json_body(counts: SentenceCounts, metrics: SentenceMetrics) -> str:
-    """A sentence's "per_sentence" JSON row after its index; it reads only the signature fields of counts."""
+    """A sentence's "per_sentence" JSON row after its index."""
     if not math.isfinite(sum(metrics)):  # one test per row; finite values may sum to inf
         for name, value in zip(PER_SENTENCE_COLUMNS[5:], metrics):
             if not math.isfinite(value):
@@ -123,7 +123,7 @@ def _report_json_pieces(report: CorpusReport, config: MetricConfig, per_sentence
 
 
 def _csv_body(counts: SentenceCounts, metrics: SentenceMetrics) -> str:
-    """A sentence's per-sentence CSV line after its index and comma; it reads only signature fields."""
+    """A sentence's per-sentence CSV line after its index and comma."""
     cells = [
         str(counts.total_tokens),
         str(counts.undefined_tokens),
@@ -205,7 +205,7 @@ def render_summary_table(report: CorpusReport) -> str:
 
 
 def _format_table(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
-    widths = [max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(len(header))]
+    widths = [max([len(header[i]), *(len(r[i]) for r in rows)]) for i in range(len(header))]
     lines = [
         "  ".join(header[i].ljust(widths[i]) for i in range(len(header))).rstrip(),
         "  ".join("-" * w for w in widths),

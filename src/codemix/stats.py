@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 import re
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .metrics import (
@@ -89,20 +88,20 @@ def _registry_sort_key(code: str) -> tuple[str, int, str, str]:
 def language_distribution(corpus: Corpus) -> tuple[LanguageDistributionRow, ...]:
     """Per-language sentence/word counts and percentages, plus one
     language-independent row (always present, possibly zero)."""
-    counts = (_count_tags(sentence.tags) for sentence in corpus.sentences)
-    return _fold(corpus.name, counts, DEFAULT_CONFIG).distribution
+    counted = (_count_tags(sentence.tags) for sentence in corpus.sentences)
+    return _fold(corpus.name, counted, DEFAULT_CONFIG).distribution
 
 
 def aggregate(corpus: Corpus, config: MetricConfig = DEFAULT_CONFIG) -> CorpusReport:
     """Compute per-sentence metrics and fold them into a corpus report.
 
     The result is independent of evaluation order; only the per_sentence
-    listing reflects the corpus ordering. Each sentence's pair holds its own
-    counts; sentences with one signature share its metrics.
+    listing reflects the corpus ordering. Sentences with equal counts share
+    one (counts, metrics) pair.
     """
-    counts = [_count_tags(sentence.tags) for sentence in corpus.sentences]
-    report = _fold(corpus.name, counts, config, per_sentence=True)
-    return report._replace(per_sentence=tuple(zip(counts, map(itemgetter(1), report.per_sentence))))
+    counted = (_count_tags(sentence.tags) for sentence in corpus.sentences)
+    report = _fold(corpus.name, counted, config, per_sentence=True)
+    return report._replace(per_sentence=tuple(report.per_sentence))
 
 
 # At most this many signatures are remembered per fold; a later new one is
@@ -112,17 +111,19 @@ _MEMO_SIZE = 4096
 
 
 def _fold(
-    name: str, counts: Iterable[SentenceCounts], config: MetricConfig, per_sentence: bool = False
+    name: str,
+    counted: Iterable[tuple[SentenceCounts, dict[str, int]]],
+    config: MetricConfig,
+    per_sentence: bool = False,
 ) -> CorpusReport:
-    """The corpus report of a name and its sentences' counts, in corpus order.
+    """The corpus report of a name and its sentences' (counts, {code: count}), in corpus order.
 
-    Every index is a function of a sentence's signature, the five counts W,
-    u, N, max_w and S (W' is W - u), so each signature's metrics are computed
-    once, on its first sentence, and its memo entry counts the sentences that
-    have it; a repeat costs one increment. With per_sentence, the report's
-    per_sentence holds each sentence's (counts, metrics) pair, in corpus
-    order: one pair per signature, made on its first sentence, so a reader
-    may read only the signature fields of its counts. The fold holds nothing
+    Every index is a function of a sentence's counts, its signature, so each
+    signature's metrics are computed once, on its first sentence, and its
+    memo entry counts the sentences that have it; a repeat costs one
+    increment. With per_sentence, the report's per_sentence holds each
+    sentence's (counts, metrics) pair, in corpus order: one pair per
+    signature, made on its first sentence. The fold holds nothing
     per sentence but a reference to that pair; without per_sentence, it is
     empty. It is the list the fold appended to, not a tuple: a copy would hold
     every reference twice at the end of the fold, which the CLI's peak memory
@@ -134,7 +135,7 @@ def _fold(
     quotient is correctly rounded, as math.fsum is, so each mean is statistics.fmean's.
     """
     pairs: list[tuple[SentenceCounts, SentenceMetrics]] = []
-    memo: dict[tuple, list] = {}  # signature -> [summary values, (counts, metrics), sentences that have it]
+    memo: dict[SentenceCounts, list] = {}  # counts -> [summary values, (counts, metrics), sentences that have it]
     word_counts: dict[str, int] = {}
     sentence_counts: dict[str, int] = {}
     independent_words = independent_sentences = tokens = 0
@@ -142,14 +143,12 @@ def _fold(
     sums = [0] * len(SUMMARY_INDICES)
     mixed = 0  # sentences with CMI > 0
     index = -1
-    for index, sentence in enumerate(counts):
-        total, undefined, _, per_language, languages, dominant, switches = sentence
-        signature = (total, undefined, languages, dominant, switches)
-        entry = memo.get(signature)
+    for index, (counts, per_language) in enumerate(counted):
+        entry = memo.get(counts)
         if entry is not None:
             entry[2] += 1
         else:
-            entry = _evaluate(sentence, config, per_sentence)
+            entry = _evaluate(counts, config)
             # In corpus order, so that of equal values (0.0 and -0.0) the one min() and max() pick stays.
             for column, value in enumerate(entry[0]):
                 if value < low[column]:
@@ -157,13 +156,14 @@ def _fold(
                 if value > high[column]:
                     high[column] = value
             if len(memo) < _MEMO_SIZE:
-                memo[signature] = entry
+                memo[counts] = entry
             else:
                 mixed += _add(sums, entry)
-        tokens += total
-        for code, words in per_language:
+        tokens += counts.total_tokens
+        for code, words in per_language.items():
             word_counts[code] = word_counts.get(code, 0) + words
             sentence_counts[code] = sentence_counts.get(code, 0) + 1
+        undefined = counts.undefined_tokens
         if undefined:
             independent_words += undefined
             independent_sentences += 1
@@ -205,11 +205,11 @@ def _fold(
     )
 
 
-def _evaluate(counts: SentenceCounts, config: MetricConfig, per_sentence: bool) -> list:
-    """A new memo entry: a sentence's summary values, in SUMMARY_INDICES order, (counts, metrics) or None, and 1."""
+def _evaluate(counts: SentenceCounts, config: MetricConfig) -> list:
+    """A new memo entry: a sentence's summary values, in SUMMARY_INDICES order, (counts, metrics), and 1."""
     metrics = metrics_from_counts(counts, config)
     summary = (metrics.cmi, metrics.cf1, metrics.cf2, metrics.cf3, float(counts.total_tokens))
-    return [summary, (counts, metrics) if per_sentence else None, 1]
+    return [summary, (counts, metrics), 1]
 
 
 def _add(sums: list[int], entry: list) -> int:
@@ -229,16 +229,16 @@ def _rows(
 ) -> Iterator[tuple[int, str]]:
     """(position, body(counts, metrics)) for each pair; a ValueError from body names the sentence.
 
-    body reads only W, u, N and S of counts, and in the pairs of _fold and
-    aggregate every sentence of a signature shares one SentenceMetrics, so
-    body runs once per key of those four counts and the metrics object's
-    identity. Identity, not value: in a report built by hand, equal values
-    such as 0.0 and -0.0 are formatted apart. At most _MEMO_SIZE keys are
-    remembered: past that many signatures, _fold shares no new metrics.
+    In the pairs of _fold and aggregate every sentence of a signature shares
+    one SentenceMetrics, so body runs once per key of the counts and the
+    metrics object's identity. Identity, not value: in a report built by
+    hand, equal values such as 0.0 and -0.0 are formatted apart. At most
+    _MEMO_SIZE keys are remembered: past that many signatures, _fold shares
+    no new metrics.
     """
     memo: dict[tuple, str] = {}
     for index, (counts, metrics) in enumerate(pairs):
-        key = (counts.total_tokens, counts.undefined_tokens, counts.language_count, counts.switch_count, id(metrics))
+        key = (counts, id(metrics))
         row = memo.get(key)
         if row is None:
             try:

@@ -277,6 +277,12 @@ class TestPlot:
         assert code == 1
         assert err == f"error: {target}: No such file or directory\n"
 
+    @pytest.mark.parametrize("flag", ["--svg", "--csv"])
+    def test_empty_target_is_an_error_not_a_traceback(self, capsys, flag):
+        # An empty path is still the path given: it names no file, and it is not the current directory.
+        code, _, err = run(capsys, "plot", str(FIXTURES / "case6.tags"), "--index", "cf2", flag, "")
+        assert (code, err) == (1, "error: : No such file or directory\n")
+
     def test_requires_exactly_one_target(self, capsys):
         with pytest.raises(SystemExit):
             main(["plot", str(FIXTURES / "case6.tags"), "--index", "cf2"])
@@ -383,7 +389,7 @@ class TestSharedRows:
         sentences = parse_column_format(path.read_text(encoding="utf-8"), name=corpus)
         config = MetricConfig(*map(float, weights.split(",")))
         report = aggregate(sentences, config)
-        signatures = len({counts[:3] + counts[4:] for counts, _ in report.per_sentence})
+        signatures = len({counts for counts, _ in report.per_sentence})
         assert signatures < len(sentences) / 10 if corpus == "repeats" else signatures == len(sentences)
         json_out = run(capsys, "analyze", str(path), "--per-sentence", "--weights", weights)
         assert json_out == (0, render_report_json(report, config, per_sentence=True), "")
@@ -401,7 +407,7 @@ class TestSharedRows:
         path = tmp_path / f"{corpus.name}.tags"
         path.write_text(write_corpus(corpus), encoding="utf-8")
         report = aggregate(corpus)
-        assert len({counts[:3] + counts[4:] for counts, _ in report.per_sentence}) > _MEMO_SIZE
+        assert len({counts for counts, _ in report.per_sentence}) > _MEMO_SIZE
         json_out = run(capsys, "analyze", str(path), "--per-sentence")
         assert json_out == (0, render_report_json(report, DEFAULT_CONFIG, per_sentence=True), "")
         assert run(capsys, "analyze", str(path), "--out", "csv") == (0, render_per_sentence_csv(report), "")

@@ -42,7 +42,7 @@ from codemix import (
 )
 from codemix import cli, corpus_io
 from codemix.metrics import _arctan_divisor, _linear_divisor
-from codemix.stats import _MEMO_SIZE, INDEX_NAMES, CorpusComparison, IndexComparison, _fold
+from codemix.stats import _MEMO_SIZE, INDEPENDENT_LABEL, INDEX_NAMES, CorpusComparison, IndexComparison, _fold
 from codemix.render import (
     _CSV_HEADER,
     _csv_body,
@@ -55,7 +55,7 @@ from codemix.render import (
     render_summary_table,
 )
 from conftest import make_corpus, make_sentence, signature_corpus
-from naive_oracle import naive_metrics
+from naive_oracle import naive_counts, naive_metrics
 
 tag_lists = st.lists(st.sampled_from(["L1", "L2", "L3", None]), min_size=1, max_size=12)
 corpora = st.lists(tag_lists, min_size=1, max_size=6)
@@ -69,8 +69,6 @@ def test_library_matches_naive_recount(codes):
     assert counts.total_tokens == expected["W"]
     assert counts.undefined_tokens == expected["u"]
     assert counts.tagged_tokens == expected["Wprime"]
-    assert dict(counts.per_language) == expected["per_language"]
-    assert [code for code, _ in counts.per_language] == list(dict.fromkeys(c for c in codes if c is not None))
     assert counts.language_count == expected["N"]
     assert counts.dominant_count == expected["max_w"]
     assert counts.switch_count == expected["S"]
@@ -175,6 +173,32 @@ def test_cmi_all_never_exceeds_cmi_mixed(tag_list):
 def test_distribution_percentages_sum_to_hundred(tag_list):
     report = aggregate(make_corpus(tag_list))
     assert sum(row.percentage for row in report.distribution) == pytest.approx(100.0, abs=0.01)
+
+
+@given(corpora)
+def test_distribution_matches_naive_per_sentence_counts(tag_list):
+    # Each code's words are the sum of its per-sentence counts, and its sentences
+    # the number of sentences that hold it; the language-independent row does
+    # the same with each sentence's undefined tokens.
+    expected: dict[str, list[int]] = {}
+    independent = [0, 0]
+    for codes in tag_list:
+        naive = naive_counts(codes)
+        for code, words in naive["per_language"].items():
+            row = expected.setdefault(code, [0, 0])
+            row[0] += 1
+            row[1] += words
+        if naive["u"]:
+            independent[0] += 1
+            independent[1] += naive["u"]
+    expected = {code: expected[code] for code in sorted(expected)}
+    expected[INDEPENDENT_LABEL] = independent
+    report = aggregate(make_corpus(tag_list))
+    tokens = sum(map(len, tag_list))
+    assert report.token_count == tokens
+    assert {row.language: [row.sentence_count, row.word_count] for row in report.distribution} == expected
+    assert [row.language for row in report.distribution] == list(expected)
+    assert [row.percentage for row in report.distribution] == [100.0 * words / tokens for _, words in expected.values()]
 
 
 surfaces = st.text(alphabet="abἀ/.:-?0", min_size=1, max_size=5)
@@ -353,6 +377,14 @@ def _stats_text(report: CorpusReport) -> str:
     )
 
 
+def test_tables_with_no_rows_print_the_header_and_rule():
+    report = aggregate(make_corpus([["L1", "L2"]]))
+    assert render_distribution_table(report._replace(distribution=())) == (
+        "Language  Sentences  Words  % of corpus\n--------  ---------  -----  -----------\n"
+    )
+    assert render_summary_table(report._replace(summary=())) == "Index  Min  Max  Mean\n-----  ---  ---  ----\n"
+
+
 # Each CLI command whose output the fuzz test checks, and that output rendered by the library.
 CLI_RENDERINGS = {
     ("stats",): _stats_text,
@@ -441,7 +473,7 @@ json_floats = st.sampled_from([1e-05, 5e-324, 1e300, -0.0, -0.001, 0.005, 62.008
 json_ints = st.integers(min_value=0, max_value=2**53)
 json_weights = st.tuples(*[st.sampled_from([-0.0, 0.0, 50.0, 1e300]) | st.floats(min_value=0.0, max_value=1e300)] * 2)
 json_records = st.tuples(
-    st.builds(SentenceCounts, json_ints, json_ints, json_ints, st.just(()), json_ints, json_ints, json_ints),
+    st.builds(SentenceCounts, *[json_ints] * 6),
     st.builds(SentenceMetrics, *[json_floats] * 7),
 )
 json_reports = st.builds(
@@ -562,9 +594,9 @@ def test_streamed_summary_equals_fmean_min_max(signatures, pool, seed):
     values = [rng.choice(pool) * (rng.random() if rng.random() < 0.5 else 1.0) for _ in range(signatures)]
     repeats = [rng.randint(4, 100) if rng.random() < 0.02 else rng.randint(1, 3) for _ in range(signatures)]
     sentences = [
-        counts
+        (counts, {"L1": 1})
         for switches, count in enumerate(repeats)
-        for counts in [SentenceCounts(1, 0, 1, (), 1, 1, switches)] * count
+        for counts in [SentenceCounts(1, 0, 1, 1, 1, switches)] * count
     ]
     rng.shuffle(sentences)
 
@@ -573,7 +605,7 @@ def test_streamed_summary_equals_fmean_min_max(signatures, pool, seed):
 
     with mock.patch("codemix.stats.metrics_from_counts", metrics):
         report = _fold("pairs", sentences, DEFAULT_CONFIG)
-    expanded = [values[counts.switch_count] for counts in sentences]
+    expanded = [values[counts.switch_count] for counts, _ in sentences]
     expected = [min(expanded).hex(), max(expanded).hex(), fmean(expanded).hex()]
     for index_name in INDEX_NAMES:
         row = report.summary_row(index_name)

@@ -28,7 +28,7 @@ from codemix import (
 )
 from codemix.render import _json_body
 from codemix.stats import _MEMO_SIZE, INDEPENDENT_LABEL, CorpusReport, _fold, _rows
-from conftest import make_corpus
+from conftest import make_corpus, make_sentence
 
 
 class TestLanguageDistribution:
@@ -133,7 +133,7 @@ class TestAggregate:
 
     def test_summary_folded_over_repeated_signatures_equals_statistics_over_the_records(self):
         report = aggregate(generate(GenSpec(3000, (3, 12), 3, Arrangement.RANDOM, 0.2, seed=11)))
-        assert len({_signature(counts) for counts, _ in report.per_sentence}) < report.sentence_count // 10
+        assert len({counts for counts, _ in report.per_sentence}) < report.sentence_count // 10
         for row in report.summary:
             if row.index_name == "words_per_sentence":
                 values = [float(counts.total_tokens) for counts, _ in report.per_sentence]
@@ -146,23 +146,21 @@ class TestAggregate:
 
 
 def _counts(total: int, undefined: int, languages: int, dominant: int, switches: int) -> SentenceCounts:
-    """Counts with these fields and a per_language that matches them."""
-    tagged = total - undefined
-    rest = [0] * (languages - 1)
-    for i in range(tagged - dominant):
+    return SentenceCounts(total, undefined, total - undefined, languages, dominant, switches)
+
+
+def _counted(counts: SentenceCounts) -> tuple[SentenceCounts, dict[str, int]]:
+    """counts and a {code: count} that matches them, as stats._fold takes them."""
+    rest = [0] * (counts.language_count - 1)
+    for i in range(counts.tagged_tokens - counts.dominant_count):
         rest[i % len(rest)] += 1
-    per_language = tuple((f"L{i + 1}", words) for i, words in enumerate([dominant, *rest]))
-    return SentenceCounts(total, undefined, tagged, per_language, languages, dominant, switches)
-
-
-def _signature(counts: SentenceCounts) -> tuple:
-    return counts[:3] + counts[4:]
+    return counts, {f"L{i + 1}": words for i, words in enumerate([counts.dominant_count, *rest])}
 
 
 def _distinct_counts(count: int, seed: int) -> list[SentenceCounts]:
-    """count SentenceCounts, no two with the same signature."""
+    """count SentenceCounts, no two equal."""
     rng = random.Random(seed)
-    found: dict[tuple, SentenceCounts] = {}
+    found: dict[SentenceCounts, None] = {}
     while len(found) < count:
         total = rng.randint(1, 120)
         undefined = rng.randint(0, total - 1)
@@ -170,8 +168,8 @@ def _distinct_counts(count: int, seed: int) -> list[SentenceCounts]:
         languages = rng.randint(1, min(tagged, 4))
         dominant = rng.randint(-(-tagged // languages), tagged - languages + 1)
         counts = _counts(total, undefined, languages, dominant, rng.randint(languages - 1, tagged - 1))
-        found.setdefault(_signature(counts), counts)
-    return list(found.values())
+        found[counts] = None
+    return list(found)
 
 
 class TestSignatureMemo:
@@ -188,22 +186,21 @@ class TestSignatureMemo:
         sentences.extend(rng.choices(distinct, k=2000))
         config = MetricConfig(30.0, 70.0)
         with mock.patch("codemix.stats.metrics_from_counts", wraps=metrics_from_counts) as evaluated:
-            report = _fold("memo", sentences, config, per_sentence=True)
+            report = _fold("memo", map(_counted, sentences), config, per_sentence=True)
         pairs = report.per_sentence
         expected = [metrics_from_counts(counts, config) for counts in sentences]
-        assert [_signature(counts) for counts, _ in pairs] == [_signature(counts) for counts in sentences]
+        assert [counts for counts, _ in pairs] == sentences
         assert [[v.hex() for v in m] for _, m in pairs] == [[v.hex() for v in m] for m in expected]
         # The first _MEMO_SIZE signatures each have one pair, made on their first sentence;
         # past the cap, each sentence has its own. Each pair's metrics are computed once.
-        remembered = set(list(dict.fromkeys(map(_signature, sentences)))[:_MEMO_SIZE])
-        first: dict[tuple, tuple] = {}
+        remembered = set(list(dict.fromkeys(sentences))[:_MEMO_SIZE])
+        first: dict[SentenceCounts, tuple] = {}
         for counts, pair in zip(sentences, pairs):
-            signature = _signature(counts)
-            if signature not in first:
+            if counts not in first:
                 assert pair[0] is counts
-            if signature in remembered:
-                assert pair is first.setdefault(signature, pair)
-        own = sum(_signature(counts) not in remembered for counts in sentences)
+            if counts in remembered:
+                assert pair is first.setdefault(counts, pair)
+        own = sum(counts not in remembered for counts in sentences)
         assert len({id(pair) for pair in pairs}) == evaluated.call_count == _MEMO_SIZE + own
         for row in report.summary:
             if row.index_name == "words_per_sentence":
@@ -218,15 +215,13 @@ class TestSignatureMemo:
         assert report.cmi_mixed.hex() == fmean([v for v in cmi if v > 0]).hex()
         assert report.token_count == sum(counts.total_tokens for counts in sentences)
 
-    def test_aggregate_records_keep_their_own_counts_and_share_metrics(self):
+    def test_aggregate_shares_one_pair_among_sentences_with_equal_counts(self):
         corpus = make_corpus([["EN", "HI"], ["BN", "TA"], ["EN", "HI"], ["EN", None]])
         records = aggregate(corpus).per_sentence
-        (counts0, metrics0), (counts1, metrics1), (counts2, metrics2), (counts3, metrics3) = records
-        # Each sentence keeps its own counts, though the fold shares one pair per signature.
-        assert [counts0, counts1, counts2, counts3] == [count_sentence(sentence) for sentence in corpus.sentences]
-        assert dict(counts1.per_language) == {"BN": 1, "TA": 1}
-        assert metrics0 is metrics1 is metrics2
-        assert metrics3 == metrics_from_counts(counts3)
+        assert records[0] is records[1] is records[2]
+        assert records[3] is not records[0]
+        assert [counts for counts, _ in records] == [count_sentence(sentence) for sentence in corpus.sentences]
+        assert records[3][1] == metrics_from_counts(records[3][0])
 
     @pytest.mark.parametrize("first", [3, _MEMO_SIZE + 5], ids=["remembered", "past-the-cap"])
     def test_a_non_finite_index_names_the_first_sentence_that_has_it(self, first):
@@ -255,7 +250,7 @@ class TestSignatureMemo:
 
     def test_peak_memory_stops_growing_at_the_memo_size(self):
         def distinct(count):  # made one at a time, so that the input holds no memory
-            return (_counts(total, 0, 2, total - 1, 1) for total in range(2, count + 2))
+            return (_counted(_counts(total, 0, 2, total - 1, 1)) for total in range(2, count + 2))
 
         _fold("warm-up", distinct(10), DEFAULT_CONFIG)
         peaks = {}
@@ -267,6 +262,19 @@ class TestSignatureMemo:
             finally:
                 tracemalloc.stop()
         assert peaks[6] <= 1.25 * peaks[2], peaks
+
+    def test_aggregate_holds_little_more_than_a_reference_per_sentence_with_equal_counts(self):
+        copies = 20_000
+        corpus = Corpus(name="copies", sentences=(make_sentence(["EN", "HI", None]),) * copies)
+        aggregate(corpus)  # first-call caches are not the corpus's
+        tracemalloc.start()
+        try:
+            report = aggregate(corpus)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(report.per_sentence) == copies
+        assert held / copies < 32, held
 
 
 class TestScatterData:
