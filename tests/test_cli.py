@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import io
 import json
 import os
@@ -499,6 +500,26 @@ class TestClosedPipe:
         assert b"Traceback" not in done.stderr, done.stderr.decode()
 
 
+def _peak(call):
+    """call()'s result and the peak of the memory it allocated, traced with the cyclic collector off.
+
+    Each call leaves cyclic garbage, such as its argparse parser, which a
+    collection frees only if the allocations since the last one, earlier
+    tests' included, happen to reach the threshold during the call. With the
+    collector off, every peak counts that garbage, so two peaks differ only
+    by what the call itself holds.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+
+
 class TestMemory:
     def test_stats_and_compare_peaks_do_not_grow_with_the_corpus(self, capsys, tmp_path):
         peaks = {}
@@ -510,12 +531,7 @@ class TestMemory:
             for argv in (["stats", str(path)], ["compare", str(path), str(path)]):
                 if not peaks:
                     run(capsys, *argv)  # first-call caches are not the corpus's
-                tracemalloc.start()
-                try:
-                    code, _, _ = run(capsys, *argv)
-                    peaks[argv[0], sentences] = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
+                (code, _, _), peaks[argv[0], sentences] = _peak(lambda: run(capsys, *argv))
                 assert code == 0
         for command in ("stats", "compare"):
             assert peaks[command, 8000] <= 1.25 * peaks[command, 1000], peaks
@@ -525,12 +541,8 @@ class TestMemory:
         with open(os.devnull, "w", encoding="utf-8") as devnull:
             monkeypatch.setattr(sys, "stdout", devnull)
             for sentences in (10, 1000, 8000):  # the first call's caches are not the corpus's
-                tracemalloc.start()
-                try:
-                    code = main(["generate", "--sentences", str(sentences), "--words", "4:30", "--languages", "3",
-                                 "--arrangement", "random", "--undefined-ratio", "0.1", "--seed", "7"])
-                    peaks[sentences] = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
+                argv = ["generate", "--sentences", str(sentences), "--words", "4:30", "--languages", "3",
+                        "--arrangement", "random", "--undefined-ratio", "0.1", "--seed", "7"]
+                code, peaks[sentences] = _peak(lambda: main(argv))
                 assert code == 0
         assert peaks[8000] <= 1.25 * peaks[1000], peaks
