@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import codecs
 import enum
+import io
 import itertools
 from collections import namedtuple
-from typing import BinaryIO, Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from .model import Corpus, LanguageTag, Sentence, UndefinedReason
 
@@ -143,7 +144,7 @@ def _log_warning(message: str) -> None:
 _READ_SIZE = 2048
 
 
-def _read_lines(binary: BinaryIO) -> Iterator[str]:
+def _read_lines(binary: io.BufferedIOBase) -> Iterator[str]:
     """The lines of a UTF-8 byte stream, read a chunk at a time, as text.split("\n") gives them.
 
     A leading BOM is dropped. An undecodable byte raises ValueError with its
@@ -152,7 +153,7 @@ def _read_lines(binary: BinaryIO) -> Iterator[str]:
     return itertools.chain.from_iterable(_line_chunks(binary))
 
 
-def _line_chunks(binary: BinaryIO) -> Iterator[list[str]]:
+def _line_chunks(binary: io.BufferedIOBase) -> Iterator[list[str]]:
     """_read_lines a chunk at a time; a chunk ends at an LF or the stream's end, so it decodes alone."""
     chunk = binary.read(_READ_SIZE) + binary.readline()
     offset = len(codecs.BOM_UTF8) if chunk.startswith(codecs.BOM_UTF8) else 0

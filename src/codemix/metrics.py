@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Iterable, NamedTuple, Sequence
+from collections.abc import Iterable, Sequence
 
 from .model import LanguageTag, Sentence
 
@@ -54,8 +54,15 @@ class MetricConfig(namedtuple("MetricConfig", ("mix_weight", "switch_weight"))):
 DEFAULT_CONFIG = MetricConfig()
 
 
-class SentenceCounts(NamedTuple):
+class SentenceCounts(namedtuple("SentenceCounts", (
+    "total_tokens", "undefined_tokens", "tagged_tokens", "language_count", "dominant_count", "switch_count"
+))):
     """Counting summary of one sentence; input to every index formula.
+
+    total_tokens is W, undefined tokens included; undefined_tokens is u; tagged_tokens is W' = W - u;
+    language_count is N, the distinct languages with a nonzero count; dominant_count is the largest
+    per-language count, 0 when no language is present; switch_count is S, the switches over the
+    language-bearing subsequence.
 
     The counts are the sentence's signature: every index is a function of
     them, so equal counts are equal, hashable values with equal metrics.
@@ -65,24 +72,15 @@ class SentenceCounts(NamedTuple):
     lengths of the language runs are not kept: no index reads them.
     """
 
-    total_tokens: int  # W, undefined tokens included
-    undefined_tokens: int  # u
-    tagged_tokens: int  # W' = W - u
-    language_count: int  # N, distinct languages with a nonzero count
-    dominant_count: int  # the largest per-language count, 0 when no language present
-    switch_count: int  # S, switches over the language-bearing subsequence
+    __slots__ = ()
 
 
-class SentenceMetrics(NamedTuple):
+class SentenceMetrics(
+    namedtuple("SentenceMetrics", ("language_factor", "switching_factor", "mix_factor", "cmi", "cf1", "cf2", "cf3"))
+):
     """All indices of one sentence, at full double precision."""
 
-    language_factor: float
-    switching_factor: float
-    mix_factor: float
-    cmi: float
-    cf1: float
-    cf2: float
-    cf3: float
+    __slots__ = ()
 
 
 def count_sentence(sentence: Sentence) -> SentenceCounts:

@@ -6,9 +6,10 @@ All types are immutable value objects; metrics and parsers never mutate them.
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
+from collections.abc import Iterable
 from itertools import repeat
 from operator import attrgetter
-from typing import Iterable, NamedTuple
 
 
 class UndefinedReason(enum.Enum):
@@ -92,14 +93,13 @@ class LanguageTag(_Immutable):
         return f"LanguageTag(undefined:{self.reason.value})"
 
 
-class Token(NamedTuple):
+class Token(namedtuple("Token", ("surface", "tag"))):
     """A surface form paired with its language tag: one position of a Sentence.
 
     Sentence.tokens builds these on demand.
     """
 
-    surface: str
-    tag: LanguageTag
+    __slots__ = ()
 
 
 class Sentence(_Immutable):

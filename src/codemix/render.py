@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Iterator
+from collections.abc import Iterator
 
 from .metrics import MetricConfig, SentenceCounts, SentenceMetrics
 from .stats import CorpusComparison, CorpusReport, _rows

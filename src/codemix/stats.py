@@ -6,7 +6,8 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Callable, Iterable, Iterator, NamedTuple
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator
 
 from .metrics import (
     DEFAULT_CONFIG,
@@ -26,31 +27,27 @@ WORDS_PER_SENTENCE = "words_per_sentence"
 SUMMARY_INDICES = INDEX_NAMES + (WORDS_PER_SENTENCE,)
 
 
-class LanguageDistributionRow(NamedTuple):
+class LanguageDistributionRow(
+    namedtuple("LanguageDistributionRow", ("language", "sentence_count", "word_count", "percentage"))
+):
     """One language's share of a corpus (or the language-independent share)."""
 
-    language: str
-    sentence_count: int
-    word_count: int
-    percentage: float
+    __slots__ = ()
 
 
-class IndexSummaryRow(NamedTuple):
-    index_name: str
-    min: float
-    max: float
-    mean: float
+class IndexSummaryRow(namedtuple("IndexSummaryRow", ("index_name", "min", "max", "mean"))):
+    """One index's min, max and mean over a corpus."""
+
+    __slots__ = ()
 
 
-class CorpusReport(NamedTuple):
-    corpus_name: str
-    sentence_count: int
-    token_count: int
-    distribution: tuple[LanguageDistributionRow, ...]
-    summary: tuple[IndexSummaryRow, ...]
-    cmi_all: float
-    cmi_mixed: float
-    per_sentence: tuple[tuple[SentenceCounts, SentenceMetrics], ...]  # (counts, metrics); the index is the position
+class CorpusReport(namedtuple("CorpusReport", (
+    "corpus_name", "sentence_count", "token_count", "distribution", "summary", "cmi_all", "cmi_mixed", "per_sentence"
+))):
+    """A corpus's counts, distribution and summary rows and CMI means, and per_sentence:
+    (counts, metrics) for each sentence; the index is the position."""
+
+    __slots__ = ()
 
     def summary_row(self, index_name: str) -> IndexSummaryRow:
         for row in self.summary:
@@ -59,18 +56,16 @@ class CorpusReport(NamedTuple):
         raise ValueError(f"unknown index {index_name!r}; expected one of {', '.join(SUMMARY_INDICES)}")
 
 
-class IndexComparison(NamedTuple):
-    index_name: str
-    mean_a: float
-    mean_b: float
-    delta: float  # mean_a - mean_b
-    verdict: str  # "A", "B" or "TIE"
+class IndexComparison(namedtuple("IndexComparison", ("index_name", "mean_a", "mean_b", "delta", "verdict"))):
+    """One index's means in corpora A and B; delta is mean_a - mean_b and verdict "A", "B" or "TIE"."""
+
+    __slots__ = ()
 
 
-class CorpusComparison(NamedTuple):
-    corpus_a: str
-    corpus_b: str
-    rows: tuple[IndexComparison, ...]
+class CorpusComparison(namedtuple("CorpusComparison", ("corpus_a", "corpus_b", "rows"))):
+    """The names of corpora A and B and their IndexComparison rows."""
+
+    __slots__ = ()
 
 
 def _registry_sort_key(code: str) -> tuple[str, int, str, str]:
@@ -229,24 +224,25 @@ def _rows(
 ) -> Iterator[tuple[int, str]]:
     """(position, body(counts, metrics)) for each pair; a ValueError from body names the sentence.
 
-    In the pairs of _fold and aggregate every sentence of a signature shares
-    one SentenceMetrics, so body runs once per key of the counts and the
-    metrics object's identity. Identity, not value: in a report built by
-    hand, equal values such as 0.0 and -0.0 are formatted apart. At most
-    _MEMO_SIZE keys are remembered: past that many signatures, _fold shares
-    no new metrics.
+    body runs once per pair object: in the pairs of _fold and aggregate every
+    sentence of a signature shares one pair. Identity, not value: in a report
+    built by hand, equal values such as 0.0 and -0.0 are formatted apart. The
+    memo holds each pair it remembers, so no other pair can take its id. At
+    most _MEMO_SIZE pairs are remembered: past that many signatures, _fold
+    shares no new pairs.
     """
-    memo: dict[tuple, str] = {}
-    for index, (counts, metrics) in enumerate(pairs):
-        key = (counts, id(metrics))
-        row = memo.get(key)
-        if row is None:
+    memo: dict[int, tuple] = {}  # id(pair) -> (pair, row)
+    for index, pair in enumerate(pairs):
+        known = memo.get(id(pair))
+        if known is not None:
+            row = known[1]
+        else:
             try:
-                row = body(counts, metrics)
+                row = body(*pair)
             except ValueError as exc:
                 raise ValueError(f"sentence {index}: {exc}") from None
             if len(memo) < _MEMO_SIZE:
-                memo[key] = row
+                memo[id(pair)] = pair, row
         yield index, row
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 import itertools
 from collections import namedtuple
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .corpus_io import DEFAULT_POLICY, _corpus, _scan_column
 from .model import Corpus

@@ -59,6 +59,17 @@ class TestAnalyze:
         assert payload["raw"]["cmi_all"] == pytest.approx(payload["cmi_all"], abs=0.005)
         assert "per_sentence" not in payload
 
+    @pytest.mark.parametrize(
+        "file, corpus",
+        [("a.b.tags", "a.b"), (".hidden.tags", ".hidden"), ("..tags", "."), ("a.", "a."), (".tags", ".tags"),
+         ("noext", "noext")],
+    )
+    def test_corpus_is_named_by_the_file_name_without_its_last_suffix(self, capsys, tmp_path, file, corpus):
+        path = tmp_path / file
+        path.write_bytes((FIXTURES / "case6.tags").read_bytes())
+        code, out, _ = run(capsys, "analyze", str(path))
+        assert (code, json.loads(out)["corpus"]) == (0, corpus)
+
     def test_empty_file(self, capsys, tmp_path):
         empty = tmp_path / "empty.tags"
         empty.write_text("", encoding="utf-8")
@@ -480,6 +491,27 @@ class TestStartup:
         bare, cli = loaded  # what site loads in a bare interpreter is not the CLI's doing
         assert "codemix.cli" in cli
         assert (cli - bare) & {"dataclasses", "inspect", "logging", "ast", "dis", "tokenize"} == set()
+
+    def test_every_subcommand_on_a_bare_interpreter_loads_no_typing(self, tmp_path):
+        # Under -S, site imports nothing, so every module loaded at the end is the CLI's doing.
+        case6, synth7 = str(FIXTURES / "case6.tags"), str(GOLDEN / "synth7.tags")
+        runs = [
+            ["analyze", case6, "--per-sentence"],
+            ["analyze", case6, "--out", "csv"],
+            ["stats", case6],
+            ["compare", case6, synth7],
+            ["plot", case6, "--index", "cf2", "--csv", str(tmp_path / "plot.csv")],
+            ["generate", "--sentences", "5", "--words", "3", "--languages", "2"],
+        ]
+        script = (
+            f"import sys, codemix.cli\nfor argv in {runs!r}:\n    assert codemix.cli.main(argv) == 0, argv\n"
+            "sys.stderr.write(' '.join(sys.modules))"
+        )
+        done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, env=_child_env(), timeout=60)
+        assert done.returncode == 0, done.stderr.decode()
+        loaded = set(done.stderr.decode().split())
+        assert "codemix.cli" in loaded
+        assert loaded & {"typing", "dataclasses", "inspect", "logging"} == set()
 
 
 class TestClosedPipe:

@@ -523,10 +523,10 @@ def _csv_line(index: int, record: tuple[SentenceCounts, SentenceMetrics]) -> str
 
 
 @pytest.mark.parametrize("values", [(0.0, -0.0), (1 / 3, 2 / 3)], ids=["signed-zeros", "unequal"])
-def test_rows_render_apart_unless_they_share_counts_and_metrics_object(values):
-    # The renderers format one row per (W, u, N, S) and SentenceMetrics object: one
-    # signature with another object, even an equal one, gets its own row, and so
-    # does one object under other counts.
+def test_rows_render_apart_unless_they_are_one_pair_object(values):
+    # The renderers format one row per (counts, metrics) pair object: another pair
+    # gets its own row, even one of equal counts and equal metrics, and so does
+    # one SentenceMetrics object under other counts.
     report = aggregate(make_corpus([["L1", "L2", "L1"]]))
     [(counts, _)] = report.per_sentence
     other = counts._replace(switch_count=1)
@@ -537,6 +537,23 @@ def test_rows_render_apart_unless_they_share_counts_and_metrics_object(values):
     payload["per_sentence"] = list(itertools.starmap(_sentence_dict, enumerate(records)))
     assert render_report_json(report, DEFAULT_CONFIG, per_sentence=True) == json.dumps(payload, indent=2) + "\n"
     assert render_per_sentence_csv(report) == _CSV_HEADER + "".join(itertools.starmap(_csv_line, enumerate(records)))
+
+
+@pytest.mark.parametrize("count", [6, _MEMO_SIZE + 100], ids=["few", "past-the-cap"])
+def test_rows_of_a_lazy_report_render_as_the_same_pairs_in_a_tuple(count):
+    # A pair that is rendered and then freed must not hand its id, and with it its row, to a later
+    # pair. Past the memo's cap, a memo that kept only the ids of its pairs would serve stale rows.
+    report = aggregate(make_corpus([["L1", "L2", "L1"]]))
+    [(counts, _)] = report.per_sentence
+
+    def pairs():
+        for i in range(count):
+            yield counts, SentenceMetrics(1.5, 1.0, 0.5, 50.0, float(i), 2.0, 3.0)
+
+    held = report._replace(per_sentence=tuple(pairs()))
+    assert render_per_sentence_csv(report._replace(per_sentence=pairs())) == render_per_sentence_csv(held)
+    lazy_json = render_report_json(report._replace(per_sentence=pairs()), DEFAULT_CONFIG, per_sentence=True)
+    assert lazy_json == render_report_json(held, DEFAULT_CONFIG, per_sentence=True)
 
 
 def test_rows_past_the_memo_cap_render_as_the_per_record_path():
