@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import os
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from .corpus_io import TagPolicy, UnknownTagAction, _read_lines, _scan_column, _scan_inline, _Tags
@@ -90,44 +92,38 @@ def _report(
         raise ValueError(f"{path}: the corpus sum of an index overflows: {exc}") from exc
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: argparse.Namespace) -> Iterable[str]:
     try:
         config = _parse_weights(args.weights)
     except ValueError as exc:
         raise ValueError(f"{args.file}: {exc}") from exc
     if args.out == "csv":
-        sys.stdout.writelines(_csv_lines(_report(args.file, args, config, per_sentence=True)))
-    else:
-        report = _report(args.file, args, config, args.per_sentence)
-        sys.stdout.writelines(_report_json_pieces(report, config, args.per_sentence))
-    return 0
+        return _csv_lines(_report(args.file, args, config, per_sentence=True))
+    return _report_json_pieces(_report(args.file, args, config, args.per_sentence), config, args.per_sentence)
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
+def _cmd_stats(args: argparse.Namespace) -> Iterable[str]:
     report = _report(args.file, args)
-    sys.stdout.write(f"corpus: {report.corpus_name}\n")
-    sys.stdout.write(f"sentences: {report.sentence_count}  tokens: {report.token_count}\n")
-    sys.stdout.write(f"CMI all: {report.cmi_all:.2f}  CMI mixed: {report.cmi_mixed:.2f}\n\n")
-    sys.stdout.write(render_distribution_table(report))
-    sys.stdout.write("\n")
-    sys.stdout.write(render_summary_table(report))
-    return 0
+    return (
+        f"corpus: {report.corpus_name}\n",
+        f"sentences: {report.sentence_count}  tokens: {report.token_count}\n",
+        f"CMI all: {report.cmi_all:.2f}  CMI mixed: {report.cmi_mixed:.2f}\n\n",
+        render_distribution_table(report),
+        "\n",
+        render_summary_table(report),
+    )
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: argparse.Namespace) -> Iterable[str]:
     if args.file_a == args.file_b == "-":
         raise ValueError("-: standard input can be read only once")
     comparison = compare(_report(args.file_a, args), _report(args.file_b, args))
     if comparison.corpus_a == comparison.corpus_b:  # one stem for two inputs: name each by its path
         comparison = comparison._replace(corpus_a=args.file_a, corpus_b=args.file_b)
-    if args.out == "csv":
-        sys.stdout.write(render_comparison_csv(comparison))
-    else:
-        sys.stdout.write(render_comparison_json(comparison))
-    return 0
+    return ((render_comparison_csv if args.out == "csv" else render_comparison_json)(comparison),)
 
 
-def _cmd_plot(args: argparse.Namespace) -> int:
+def _cmd_plot(args: argparse.Namespace) -> Iterable[str]:
     pairs = scatter_data(_report(args.file, args, per_sentence=True), args.index)
     target, render = (args.svg, render_scatter_svg) if args.svg is not None else (args.csv, render_scatter_csv)
     text = render(pairs, args.index)
@@ -136,7 +132,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
             out.write(text)
     except OSError as exc:
         raise ValueError(f"{target}: {exc.strerror or exc}") from exc
-    return 0
+    return ()
 
 
 def _parse_words(raw: str) -> int | tuple[int, int]:
@@ -149,7 +145,7 @@ def _parse_words(raw: str) -> int | tuple[int, int]:
         raise ValueError(f"--words expects N or MIN:MAX, got {raw!r}") from None
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
+def _cmd_generate(args: argparse.Namespace) -> Iterable[str]:
     spec = GenSpec(
         sentence_count=args.sentences,
         words=_parse_words(args.words),
@@ -158,8 +154,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         undefined_ratio=args.undefined_ratio,
         seed=args.seed,
     )
-    sys.stdout.writelines(_column_text(spec))
-    return 0
+    return _column_text(spec)
 
 
 def _add_policy_flags(parser: argparse.ArgumentParser) -> None:
@@ -225,14 +220,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        status = args.func(args)
-        sys.stdout.flush()  # here, so that a reader that has gone away is caught below
-        return status
+        pieces = args.func(args)
+        stdout = sys.stdout
+        if stdout is None:  # fd 1 was closed when the interpreter started
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        if hasattr(stdout, "buffer"):  # UTF-8 whatever the locale; an in-memory text stream takes the text as is
+            stdout, pieces = stdout.buffer, (piece.encode("utf-8", "surrogateescape") for piece in pieces)
+        stdout.writelines(pieces)
+        stdout.flush()
+        return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except BrokenPipeError:  # stdout's reader closed it: point fd 1 at devnull, so the flush at exit succeeds
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:  # stdout failed: point fd 1 at devnull first, so the flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        if not isinstance(exc, BrokenPipeError):  # a reader that has gone away is a silent exit 1
+            print(f"error: <stdout>: {exc.strerror}", file=sys.stderr)
         return 1
 
 
