@@ -7,7 +7,11 @@ Subcommands:
   plot      -- scatter of an index against sentence length (SVG or CSV)
   generate  -- deterministic synthetic corpus in COLUMN format
 
-All output is UTF-8 and byte-stable for fixed inputs and flags.
+All output is byte-stable for fixed inputs and flags. Standard output is
+UTF-8 whatever the locale or PYTHONIOENCODING say, and `main` is the only
+code that writes it. A stdout that fails, as when it is full or closed, ends
+the run with one `error: <stdout>: ...` line and exit status 1; a reader that
+closes the pipe early ends it with a silent exit 1.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import errno
 import os
 import sys
 from collections.abc import Iterable
-from pathlib import Path
 
 from .corpus_io import TagPolicy, UnknownTagAction, _read_lines, _scan_column, _scan_inline, _Tags
 from .metrics import DEFAULT_CONFIG, MetricConfig, _count_tags
@@ -67,6 +70,13 @@ def _parse_weights(raw: str) -> MetricConfig:
         raise ValueError(f"invalid weights {raw!r}: {exc}") from None
 
 
+def _stem(path: str) -> str:
+    """The file name without its last suffix, as `pathlib.Path(path).stem` gives it: `..tags` is `.`, `a.` is `a.`."""
+    name = os.path.basename(path)
+    dot = name.rfind(".")
+    return name[:dot] if 0 < dot < len(name) - 1 else name
+
+
 def _report(
     path: str, args: argparse.Namespace, config: MetricConfig = DEFAULT_CONFIG, per_sentence: bool = False
 ) -> CorpusReport:
@@ -81,9 +91,11 @@ def _report(
     scan = _scan_inline if args.format == "inline" else _scan_column
     try:
         tags = _Tags(_build_policy(args))
+        if path == "-" and sys.stdin is None:  # fd 0 was closed when the interpreter started
+            raise ValueError("standard input is closed")
         with contextlib.nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as binary:
             counted = (_count_tags(sentence) for _, sentence in scan(_read_lines(binary), tags, path, _warn))
-            return _fold(Path(path).stem, counted, config, per_sentence)
+            return _fold(_stem(path), counted, config, per_sentence)
     except OSError as exc:
         raise ValueError(f"{path}: {exc.strerror or exc}") from exc
     except ValueError as exc:  # a bad policy flag, undecodable bytes, a ParseError or an empty corpus
@@ -120,7 +132,8 @@ def _cmd_compare(args: argparse.Namespace) -> Iterable[str]:
     comparison = compare(_report(args.file_a, args), _report(args.file_b, args))
     if comparison.corpus_a == comparison.corpus_b:  # one stem for two inputs: name each by its path
         comparison = comparison._replace(corpus_a=args.file_a, corpus_b=args.file_b)
-    return ((render_comparison_csv if args.out == "csv" else render_comparison_json)(comparison),)
+    render = render_comparison_csv if args.out == "csv" else render_comparison_json
+    return (render(comparison),)
 
 
 def _cmd_plot(args: argparse.Namespace) -> Iterable[str]:

@@ -5,8 +5,6 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 
 from __future__ import annotations
 
-import contextlib
-import io
 import time
 
 from codemix import (
@@ -233,24 +231,22 @@ def test_criterion_5_round_trip():
     _finish(f"criterion 5: parse/write identity over {checked} corpora, both formats", failures)
 
 
-def _run_cli(*argv: str) -> str:
-    buffer = io.StringIO()
-    with contextlib.redirect_stdout(buffer):
-        code = main(list(argv))
+def _run_cli(capsys, *argv: str) -> str:
+    code = main(list(argv))
     assert code == 0, f"cli {argv} exited {code}"
-    return buffer.getvalue()
+    return capsys.readouterr().out
 
 
-def test_criterion_6_determinism(tmp_path):
+def test_criterion_6_determinism(capsys, tmp_path):
     failures: list[str] = []
     fixture = str(FIXTURES / "cases_text.tags")
-    if _run_cli("analyze", fixture, "--per-sentence") != _run_cli("analyze", fixture, "--per-sentence"):
+    if _run_cli(capsys, "analyze", fixture, "--per-sentence") != _run_cli(capsys, "analyze", fixture, "--per-sentence"):
         failures.append("JSON output not byte-identical")
-    if _run_cli("analyze", fixture, "--out", "csv") != _run_cli("analyze", fixture, "--out", "csv"):
+    if _run_cli(capsys, "analyze", fixture, "--out", "csv") != _run_cli(capsys, "analyze", fixture, "--out", "csv"):
         failures.append("CSV output not byte-identical")
     svg_a, svg_b = tmp_path / "a.svg", tmp_path / "b.svg"
-    _run_cli("plot", fixture, "--index", "cf2", "--svg", str(svg_a))
-    _run_cli("plot", fixture, "--index", "cf2", "--svg", str(svg_b))
+    _run_cli(capsys, "plot", fixture, "--index", "cf2", "--svg", str(svg_a))
+    _run_cli(capsys, "plot", fixture, "--index", "cf2", "--svg", str(svg_b))
     if svg_a.read_bytes() != svg_b.read_bytes():
         failures.append("SVG output not byte-identical")
     _finish("criterion 6: analyze/plot outputs byte-identical across runs", failures)

@@ -511,7 +511,7 @@ class TestStartup:
         assert done.returncode == 0, done.stderr.decode()
         loaded = set(done.stderr.decode().split())
         assert "codemix.cli" in loaded
-        assert loaded & {"typing", "dataclasses", "inspect", "logging"} == set()
+        assert loaded & {"typing", "dataclasses", "inspect", "logging", "pathlib"} == set()
 
 
 class TestClosedPipe:
@@ -530,6 +530,79 @@ class TestClosedPipe:
             os.close(write_end)
         assert done.returncode == 1
         assert b"Traceback" not in done.stderr, done.stderr.decode()
+
+
+def _locale_env(**settings: str) -> dict[str, str]:
+    """_child_env() under LANG=C.UTF-8 and no other locale or stdio setting, then `settings`."""
+    unset = {"LC_ALL", "LC_CTYPE", "PYTHONIOENCODING", "PYTHONUTF8"}
+    return {**{k: v for k, v in _child_env().items() if k not in unset}, "LANG": "C.UTF-8", **settings}
+
+
+def _run_child(argv, env=None, redirect=""):
+    """`python -m codemix.cli *argv` as a child, started by sh with `redirect` (such as `>&-`) when one is given."""
+    command = [sys.executable, "-m", "codemix.cli", *argv]
+    if redirect:
+        command = ["sh", "-c", f'exec "$@" {redirect}', "sh", *command]
+    return subprocess.run(command, capture_output=True, env=env or _child_env(), timeout=60)
+
+
+class TestStdoutBytes:
+    """Standard output is UTF-8 whatever PYTHONIOENCODING says, and each failure is one error line."""
+
+    @pytest.mark.parametrize("encoding", ["utf-16", "ascii", "utf-8"])
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (["analyze", str(FIXTURES / "case6.tags"), "--per-sentence"], "case6.analyze_per_sentence.json"),
+            (["analyze", str(FIXTURES / "case6.tags"), "--out", "csv"], "case6.analyze.csv"),
+            (["stats", str(FIXTURES / "case6.tags")], "case6.stats.txt"),
+            (["compare", str(FIXTURES / "case6.tags"), str(GOLDEN / "synth7.tags")], "case6-synth7.compare.json"),
+            (["generate", "--sentences", "40", "--words", "3:16", "--languages", "3", "--arrangement", "random",
+              "--undefined-ratio", "0.1", "--seed", "7"], "synth7.tags"),
+        ],
+        ids=["analyze-json", "analyze-csv", "stats", "compare", "generate"],
+    )
+    def test_output_is_its_golden_bytes_under_any_pythonioencoding(self, argv, golden, encoding):
+        done = _run_child(argv, _locale_env(PYTHONIOENCODING=encoding))
+        assert (done.returncode, done.stderr.decode()) == (0, "")
+        assert done.stdout == (GOLDEN / golden).read_bytes()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs a file system that takes any bytes as a name")
+    @pytest.mark.parametrize("encoding", ["utf-16", "ascii", "utf-8"])
+    @pytest.mark.parametrize(
+        "name, text, flags",
+        [
+            (b"bad\xff", (FIXTURES / "case6.tags").read_text(encoding="utf-8"), []),
+            ("हिन्दी".encode(), "नमस्ते\tहि\nfriend\tEN\n\nदोस्त\tहि\n", ["--languages", "हि,EN".encode()]),
+        ],
+        ids=["undecodable-name", "devanagari"],
+    )
+    def test_stats_prints_what_a_utf8_locale_prints(self, tmp_path, name, text, flags, encoding):
+        path = os.path.join(os.fsencode(tmp_path), name + b".tags")
+        with open(path, "w", encoding="utf-8") as corpus:
+            corpus.write(text)
+        argv = ["stats", path, *flags]
+        expected, done = _run_child(argv, _locale_env()), _run_child(argv, _locale_env(PYTHONIOENCODING=encoding))
+        assert expected.stdout.startswith(b"corpus: " + name + b"\n"), expected.stderr.decode()
+        assert (done.returncode, done.stderr.decode(), done.stdout) == (0, "", expected.stdout)
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes or redirects a descriptor through sh")
+    @pytest.mark.parametrize(
+        "argv, redirect, message",
+        [
+            (["stats", str(FIXTURES / "case6.tags")], ">/dev/full", "error: <stdout>: No space left on device"),
+            (["generate", "--sentences", "20000", "--words", "3:16", "--languages", "3"], ">/dev/full",
+             "error: <stdout>: No space left on device"),
+            (["stats", str(FIXTURES / "case6.tags")], ">&-", "error: <stdout>: Bad file descriptor"),
+            (["analyze", "-"], "<&-", "error: -: standard input is closed"),
+        ],
+        ids=["stats-full", "generate-full", "stats-closed-stdout", "analyze-closed-stdin"],
+    )
+    def test_a_failed_stream_is_one_error_line(self, argv, redirect, message):
+        if "/dev/full" in redirect and not os.path.exists("/dev/full"):
+            pytest.skip("this system has no /dev/full")
+        done = _run_child(argv, redirect=redirect)
+        assert (done.returncode, done.stdout, done.stderr.decode()) == (1, b"", f"{message}\n")
 
 
 def _peak(call):
