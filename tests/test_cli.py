@@ -605,6 +605,22 @@ class TestStdoutBytes:
         assert (done.returncode, done.stdout, done.stderr.decode()) == (1, b"", f"{message}\n")
 
 
+class TestHelpBytes:
+    """The help and usage text is pinned to tests/golden/help/, at a terminal width of 80 columns."""
+
+    @pytest.mark.parametrize("command", ["codemix", "analyze", "stats", "compare", "plot", "generate"])
+    def test_help_is_its_golden_bytes(self, command):
+        argv = ["--help"] if command == "codemix" else [command, "--help"]
+        done = _run_child(argv, _locale_env(COLUMNS="80"))
+        assert (done.returncode, done.stderr.decode()) == (0, "")
+        assert done.stdout == (GOLDEN / "help" / f"{command}.txt").read_bytes()
+
+    def test_a_missing_argument_prints_the_usage_and_exits_2(self):
+        done = _run_child(["analyze"], _locale_env(COLUMNS="80"))
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert done.stderr == (GOLDEN / "help" / "analyze_no_file.err").read_bytes()
+
+
 def _peak(call):
     """call()'s result and the peak of the memory it allocated, traced with the cyclic collector off.
 
