@@ -7,11 +7,11 @@ Subcommands:
   plot      -- scatter of an index against sentence length (SVG or CSV)
   generate  -- deterministic synthetic corpus in COLUMN format
 
-All output is byte-stable for fixed inputs and flags. Standard output is
-UTF-8 whatever the locale or PYTHONIOENCODING say, and `main` is the only
-code that writes it. A stdout that fails, as when it is full or closed, ends
-the run with one `error: <stdout>: ...` line and exit status 1; a reader that
-closes the pipe early ends it with a silent exit 1.
+All output is byte-stable for fixed inputs and flags. `_write` is the only
+code that writes stdout and stderr, so both are UTF-8 whatever the locale or
+PYTHONIOENCODING say. A failing stdout, full or closed, ends the run with one
+`error: <stdout>: ...` line and exit 1, or a silent exit 1 if the reader has
+gone; a failing stderr changes neither stdout nor the exit status.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import os
 import sys
 from collections.abc import Iterable
 
-from .corpus_io import TagPolicy, UnknownTagAction, _read_lines, _scan_column, _scan_inline, _Tags
+from .corpus_io import DEFAULT_LANGUAGES, TagPolicy, UnknownTagAction, _read_lines, _scan_column, _scan_inline, _Tags
 from .metrics import DEFAULT_CONFIG, MetricConfig, _count_tags
 from .render import (
     _csv_lines,
@@ -39,21 +39,38 @@ from .stats import INDEX_NAMES, CorpusReport, _fold, compare, scatter_data
 from .synth import Arrangement, GenSpec, _column_text
 
 
-def _warn(message: str) -> None:
-    """A scanner's warning, which starts with the file's path, on stderr as `warning: ...`."""
-    sys.stderr.write(f"warning: {message}\n")
+def _write(fd: int, pieces: Iterable[str]) -> None:
+    """Write `pieces` to stdout (fd 1) or stderr (fd 2) as UTF-8 and flush them, or raise OSError.
+
+    A stream closed at start-up is None and leaves its fd, which an open file may hold now, alone. A failed write
+    points the fd at devnull before it re-raises, so the flush at exit cannot fail and make the exit status 120.
+    """
+    stream = sys.stdout if fd == 1 else sys.stderr
+    if stream is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    if hasattr(stream, "buffer"):  # UTF-8 whatever the locale; an in-memory text stream takes the text as is
+        stream, pieces = stream.buffer, (piece.encode("utf-8", "surrogateescape") for piece in pieces)
+    try:
+        stream.writelines(pieces)
+        stream.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        raise
+
+
+def _complain(message: str, kind: str = "warning") -> None:
+    """One `warning: ...` or `error: ...` line on stderr; a stderr that fails is ignored, as nothing is left to tell."""
+    with contextlib.suppress(OSError):
+        _write(2, (f"{kind}: {message}\n",))
 
 
 def _build_policy(args: argparse.Namespace) -> TagPolicy:
-    kwargs: dict = {}
+    codes = DEFAULT_LANGUAGES
     if args.language_codes is not None:
         codes = [c.strip() for c in args.language_codes.split(",") if c.strip()]
         if not codes:
             raise ValueError("--languages requires at least one code")
-        kwargs["language_codes"] = frozenset(codes)
-    if args.unknown:
-        kwargs["unknown_tag_action"] = UnknownTagAction(args.unknown)
-    return TagPolicy(**kwargs)
+    return TagPolicy(codes, UnknownTagAction(args.unknown))
 
 
 def _parse_weights(raw: str) -> MetricConfig:
@@ -94,7 +111,7 @@ def _report(
         if path == "-" and sys.stdin is None:  # fd 0 was closed when the interpreter started
             raise ValueError("standard input is closed")
         with contextlib.nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as binary:
-            counted = (_count_tags(sentence) for _, sentence in scan(_read_lines(binary), tags, path, _warn))
+            counted = (_count_tags(sentence) for _, sentence in scan(_read_lines(binary), tags, path, _complain))
             return _fold(_stem(path), counted, config, per_sentence)
     except OSError as exc:
         raise ValueError(f"{path}: {exc.strerror or exc}") from exc
@@ -181,6 +198,7 @@ def _add_policy_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--unknown",
         choices=["error", "undefined"],
+        default="error",
         help="what to do with unrecognized tags (default: error)",
     )
 
@@ -233,22 +251,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        pieces = args.func(args)
-        stdout = sys.stdout
-        if stdout is None:  # fd 1 was closed when the interpreter started
-            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        if hasattr(stdout, "buffer"):  # UTF-8 whatever the locale; an in-memory text stream takes the text as is
-            stdout, pieces = stdout.buffer, (piece.encode("utf-8", "surrogateescape") for piece in pieces)
-        stdout.writelines(pieces)
-        stdout.flush()
+        _write(1, args.func(args))
         return 0
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _complain(str(exc), "error")
         return 1
-    except OSError as exc:  # stdout failed: point fd 1 at devnull first, so the flush at exit cannot fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+    except OSError as exc:  # stdout failed
         if not isinstance(exc, BrokenPipeError):  # a reader that has gone away is a silent exit 1
-            print(f"error: <stdout>: {exc.strerror}", file=sys.stderr)
+            _complain(f"<stdout>: {exc.strerror}", "error")
         return 1
 
 

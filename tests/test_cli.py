@@ -605,6 +605,44 @@ class TestStdoutBytes:
         assert (done.returncode, done.stdout, done.stderr.decode()) == (1, b"", f"{message}\n")
 
 
+class TestStderrBytes:
+    """Error and warning lines are UTF-8 whatever PYTHONIOENCODING says, and a failing stderr costs no output."""
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes or redirects a descriptor through sh")
+    @pytest.mark.parametrize("redirect", ["2>&-", "2>/dev/full"], ids=["closed-stderr", "full-stderr"])
+    @pytest.mark.parametrize(
+        "text, code", [("a\tEN\n\n\nb\tHI\n", 0), (None, 1)], ids=["skipped-sentence", "missing-file"]
+    )
+    def test_a_failed_stderr_changes_neither_stdout_nor_the_status(self, tmp_path, redirect, text, code):
+        if "/dev/full" in redirect and not os.path.exists("/dev/full"):
+            pytest.skip("this system has no /dev/full")
+        path = tmp_path / "corpus.tags"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        plain, done = _run_child(["stats", str(path)]), _run_child(["stats", str(path)], redirect=redirect)
+        assert (plain.returncode, plain.stderr[:6]) == (code, b"warnin" if code == 0 else b"error:")
+        assert (done.returncode, done.stdout, done.stderr) == (code, plain.stdout, b"")
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs a file system that takes any bytes as a name")
+    @pytest.mark.parametrize("encoding", [None, "utf-16", "ascii", "utf-8"], ids=["C.UTF-8", "utf-16", "ascii", "utf-8"])
+    @pytest.mark.parametrize(
+        "name, text, line",
+        [
+            (b"bad\xff", None, b"error: %s: No such file or directory\n"),
+            ("नहीं".encode(), None, b"error: %s: No such file or directory\n"),
+            ("नहीं".encode(), "a\tEN\n\n\nb\tHI\n", b"warning: %s: skipped 1 empty sentence(s)\n"),
+        ],
+        ids=["missing-undecodable-name", "missing-devanagari-name", "skipped-devanagari-name"],
+    )
+    def test_a_file_name_is_printed_back_as_its_bytes(self, tmp_path, name, text, line, encoding):
+        path = os.path.join(os.fsencode(tmp_path), name + b".tags")
+        if text is not None:
+            with open(path, "w", encoding="utf-8") as corpus:
+                corpus.write(text)
+        done = _run_child(["stats", path], _locale_env(**({"PYTHONIOENCODING": encoding} if encoding else {})))
+        assert (done.returncode, done.stderr) == (0 if text else 1, line % path)
+
+
 class TestHelpBytes:
     """The help and usage text is pinned to tests/golden/help/, at a terminal width of 80 columns."""
 
