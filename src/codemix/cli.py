@@ -64,6 +64,21 @@ def _complain(message: str, kind: str = "warning") -> None:
         _write(2, (f"{kind}: {message}\n",))
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose help, usage and error messages go through _write, as UTF-8, like all other output."""
+
+    def _print_message(self, message: str, file: object = None) -> None:
+        if file is sys.stderr:
+            with contextlib.suppress(OSError):  # a failing stderr changes nothing, as in _complain
+                _write(2, (message,))
+        else:  # --help, on stdout: main reports its failure
+            _write(1, (message,))
+
+    def print_usage(self, file: object = None) -> None:
+        # argparse's own sends None to stdout, but error() passes sys.stderr, which is None when fd 2 was closed.
+        self._print_message(self.format_usage(), file)
+
+
 def _build_policy(args: argparse.Namespace) -> TagPolicy:
     codes = DEFAULT_LANGUAGES
     if args.language_codes is not None:
@@ -204,7 +219,7 @@ def _add_policy_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="codemix", description="Code-mixing complexity metrics for tagged corpora.")
+    parser = _Parser(prog="codemix", description="Code-mixing complexity metrics for tagged corpora.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="full report for one corpus")
@@ -249,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)  # --help writes stdout here
         _write(1, args.func(args))
         return 0
     except ValueError as exc:

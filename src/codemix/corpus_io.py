@@ -194,7 +194,8 @@ def _scan_column(lines: Iterable[str], tags: _Tags, name: str, warn: _Warn = _lo
     surfaces: list[str] = []
     sentence: list[LanguageTag] = []
     for lineno, line in enumerate(lines, start=1):
-        if "\r" in line:
+        has_cr = "\r" in line  # a surface can hold a CR only if its line does
+        if has_cr:
             line = line.rstrip("\r")
         if not line:
             if sentence:
@@ -214,7 +215,7 @@ def _scan_column(lines: Iterable[str], tags: _Tags, name: str, warn: _Warn = _lo
             sentence.append(tags[raw])
         except ValueError as exc:  # unknown or malformed tag
             raise ParseError(lineno, str(exc)) from exc
-        if "\r" in surface:
+        if has_cr and "\r" in surface:
             raise ParseError(lineno, f"token surface contains tab/newline: {surface!r}")
         surfaces.append(surface)
     if sentence:

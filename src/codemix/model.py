@@ -23,7 +23,7 @@ class UndefinedReason(enum.Enum):
 
 
 class _Immutable:
-    """A slotted value whose fields are set once, when it is built, through object.__setattr__.
+    """A slotted value whose fields are set once, when it is built, through object.__setattr__ or their slots.
 
     Its __slots__ name the fields in __init__'s order, so copy and pickle
     rebuild it through __init__, which checks it again, and repr shows them.
@@ -141,8 +141,8 @@ class Sentence(_Immutable):
     def _checked(cls, surfaces: Iterable[str], tags: Iterable[LanguageTag]) -> "Sentence":
         """A sentence of columns that a scanner has already checked as __init__ would; it checks nothing."""
         sentence = object.__new__(cls)
-        object.__setattr__(sentence, "surfaces", tuple(surfaces))
-        object.__setattr__(sentence, "tags", tuple(tags))
+        _set_surfaces(sentence, tuple(surfaces))
+        _set_tags(sentence, tuple(tags))
         return sentence
 
     @property
@@ -152,6 +152,11 @@ class Sentence(_Immutable):
 
     def __len__(self) -> int:
         return len(self.surfaces)
+
+
+# The slot descriptors' setters, looked up once: object.__setattr__, or Sentence.surfaces.__set__ in the call, looks
+# a name up on every sentence, which costs a parse about 5% on sentences of a few tokens.
+_set_surfaces, _set_tags = Sentence.surfaces.__set__, Sentence.tags.__set__
 
 
 class Corpus(_Immutable):

@@ -91,15 +91,18 @@ class TestAnalyze:
 
     def test_tab_or_cr_inside_surface_is_line_numbered(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"
-        for fmt, text, where in (
-            ("inline", b"ok/EN fine/BN\nsplit\there/EN\n", "line 2: token 1"),
-            ("inline", b"ok/EN fine/BN\nx/EN\ry/BN\n", "line 2: token 1"),
-            ("column", b"ok\tEN\n\nsplit\rhere\tEN\n", "line 3"),
+        surface = "token surface contains tab/newline"
+        for fmt, text, message in (
+            ("inline", b"ok/EN fine/BN\nsplit\there/EN\n", f"line 2: token 1: {surface}"),
+            ("inline", b"ok/EN fine/BN\nx/EN\ry/BN\n", f"line 2: token 1: {surface}"),
+            ("column", b"ok\tEN\n\nsplit\rhere\tEN\n", f"line 3: {surface}"),
+            ("column", b"ok\tEN\nx\r\tEN\r\n", f"line 2: {surface}"),  # a CR ends the surface and the line
+            ("column", b"ok\tEN\nx\ry\tQQ\n", "line 2: unknown tag 'QQ'"),  # the tag is checked first
         ):
             bad.write_bytes(text)
             code, _, err = run(capsys, "analyze", str(bad), "--format", fmt)
             assert code == 1
-            assert err.startswith(f"error: {bad}: {where}: token surface contains") and err.count("\n") == 1
+            assert err.startswith(f"error: {bad}: {message}") and err.count("\n") == 1
 
     def test_leading_bom_is_stripped(self, capsys, tmp_path):
         body = "hi\tEN\nyo\tBN\n"
@@ -595,8 +598,9 @@ class TestStdoutBytes:
              "error: <stdout>: No space left on device"),
             (["stats", str(FIXTURES / "case6.tags")], ">&-", "error: <stdout>: Bad file descriptor"),
             (["analyze", "-"], "<&-", "error: -: standard input is closed"),
+            (["--help"], ">/dev/full", "error: <stdout>: No space left on device"),
         ],
-        ids=["stats-full", "generate-full", "stats-closed-stdout", "analyze-closed-stdin"],
+        ids=["stats-full", "generate-full", "stats-closed-stdout", "analyze-closed-stdin", "help-full"],
     )
     def test_a_failed_stream_is_one_error_line(self, argv, redirect, message):
         if "/dev/full" in redirect and not os.path.exists("/dev/full"):
@@ -643,20 +647,42 @@ class TestStderrBytes:
         assert (done.returncode, done.stderr) == (0 if text else 1, line % path)
 
 
-class TestHelpBytes:
-    """The help and usage text is pinned to tests/golden/help/, at a terminal width of 80 columns."""
+# No PYTHONIOENCODING, then two that the help and usage bytes must not follow.
+_HELP_ENCODINGS = pytest.mark.parametrize(
+    "settings", [{}, {"PYTHONIOENCODING": "utf-16"}, {"PYTHONIOENCODING": "ascii"}], ids=["locale", "utf-16", "ascii"]
+)
 
+
+class TestHelpBytes:
+    """The help and usage text is pinned to tests/golden/help/, at a terminal width of 80 columns, as UTF-8."""
+
+    @_HELP_ENCODINGS
     @pytest.mark.parametrize("command", ["codemix", "analyze", "stats", "compare", "plot", "generate"])
-    def test_help_is_its_golden_bytes(self, command):
+    def test_help_is_its_golden_bytes(self, command, settings):
         argv = ["--help"] if command == "codemix" else [command, "--help"]
-        done = _run_child(argv, _locale_env(COLUMNS="80"))
+        done = _run_child(argv, _locale_env(COLUMNS="80", **settings))
         assert (done.returncode, done.stderr.decode()) == (0, "")
         assert done.stdout == (GOLDEN / "help" / f"{command}.txt").read_bytes()
 
-    def test_a_missing_argument_prints_the_usage_and_exits_2(self):
-        done = _run_child(["analyze"], _locale_env(COLUMNS="80"))
+    @_HELP_ENCODINGS
+    def test_a_missing_argument_prints_the_usage_and_exits_2(self, settings):
+        done = _run_child(["analyze"], _locale_env(COLUMNS="80", **settings))
         assert (done.returncode, done.stdout) == (2, b"")
         assert done.stderr == (GOLDEN / "help" / "analyze_no_file.err").read_bytes()
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes or redirects a descriptor through sh")
+    @pytest.mark.parametrize("redirect", ["2>&-", "2>/dev/full"], ids=["closed-stderr", "full-stderr"])
+    def test_a_usage_error_exits_2_whatever_its_stderr_does(self, redirect):
+        if "/dev/full" in redirect and not os.path.exists("/dev/full"):
+            pytest.skip("this system has no /dev/full")
+        done = _run_child(["analyze"], redirect=redirect)
+        assert (done.returncode, done.stdout) == (2, b"")
+
+    def test_an_invalid_choice_is_printed_as_utf8(self):
+        done = _run_child(["analyze", "x", "--format", "नहीं"], _locale_env(COLUMNS="80", PYTHONIOENCODING="ascii"))
+        assert (done.returncode, done.stdout) == (2, b"")
+        *_, line = done.stderr.decode("utf-8").splitlines()  # how the choices are listed may vary by version
+        assert line.startswith("codemix analyze: error: argument --format: invalid choice: 'नहीं' (choose from ")
 
 
 def _peak(call):

@@ -59,7 +59,10 @@ def test_all_is_the_pinned_public_surface():
 
 
 def _value_instances() -> dict[str, tuple[object, str]]:
-    """One instance of each public value type, with the name of one of its fields."""
+    """One instance of each public value type, keyed by its name, with the name of one of its fields.
+
+    A parsed Sentence is built by Sentence._checked, not by its constructor, so it is one more instance.
+    """
     en = codemix.LanguageTag.language("EN")
     sentence = codemix.Sentence(("a", "b"), (en, codemix.LanguageTag.language("HI")))
     corpus = codemix.Corpus("c", (sentence,))
@@ -70,6 +73,7 @@ def _value_instances() -> dict[str, tuple[object, str]]:
         "LanguageTag": (en, "code"),
         "Token": (sentence.tokens[0], "surface"),
         "Sentence": (sentence, "tags"),
+        "Sentence parsed": (codemix.parse_column_format("a\tEN\r\nb\tHI\n").sentences[0], "surfaces"),
         "Corpus": (corpus, "sentences"),
         "TagPolicy": (codemix.TagPolicy(), "language_codes"),
         "MetricConfig": (codemix.MetricConfig(), "mix_weight"),
@@ -90,7 +94,7 @@ VALUE_TYPES = sorted(_value_instances())
 @pytest.mark.parametrize("name", VALUE_TYPES)
 def test_value_types_are_immutable(name):
     value, field = _value_instances()[name]
-    assert type(value) is getattr(codemix, name)
+    assert type(value) is getattr(codemix, name.split()[0])
     for attribute in (field, "extra"):
         with pytest.raises(AttributeError):
             setattr(value, attribute, getattr(value, field))
