@@ -26,6 +26,9 @@ GENERATE_ARGV = ["generate", "--sentences", "40", "--words", "3:16", "--language
 GENERATE_SPECS = {
     "synth_blocked": ["--sentences", "3", "--words", "80:200", "--languages", "2",
                       "--arrangement", "blocked", "--undefined-ratio", "0.1", "--seed", "41"],
+    # Short blocked sentences: every length from 2 to 9 repeats 5-10 times.
+    "synth_blocked_repeats": ["--sentences", "60", "--words", "2:9", "--languages", "2",
+                              "--arrangement", "blocked", "--undefined-ratio", "0.3", "--seed", "13"],
     "synth_mono_un": ["--sentences", "12", "--words", "1:8", "--languages", "1",
                       "--arrangement", "alternating", "--undefined-ratio", "0.6", "--seed", "5"],
     "synth_fixed5": ["--sentences", "6", "--words", "5", "--languages", "3",
