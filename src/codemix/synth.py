@@ -13,6 +13,10 @@ every sentence keeps a language, with positions floor((i+1) * W / (u+1)).
 The 1e-9 keeps a product such as 0.58 * 50 = 28.999999999999996 from losing
 an undefined token to rounding.
 
+ALTERNATING and BLOCKED draw only each sentence's length, so a sentence's
+text depends only on its length: it is built once per length and reused.
+RANDOM also draws each tagged slot's language.
+
 generate() is parse_column_format of the COLUMN text `codemix generate`
 prints, named "synthetic". Codes L<n> are languages under every TagPolicy,
 and UN an undefined alias, so the default policy reads that text.
@@ -29,8 +33,8 @@ import itertools
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 
-from .corpus_io import DEFAULT_POLICY, _corpus, _scan_column
-from .model import Corpus
+from .corpus_io import DEFAULT_POLICY, _corpus, _scan_column, _Tags
+from .model import Corpus, Sentence
 
 _MASK64 = (1 << 64) - 1
 
@@ -72,9 +76,11 @@ class Xoshiro256StarStar:
         return result
 
     def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound)."""
+        """Uniform integer in [0, bound), for 0 < bound <= 2**64."""
         if bound <= 0:
             raise ValueError("bound must be positive")
+        if bound > 1 << 64:  # no 64-bit draw could be accepted
+            raise ValueError(f"bound {bound} exceeds 2**64")
         threshold = (1 << 64) - ((1 << 64) % bound)
         while True:
             draw = self.next_u64()
@@ -125,6 +131,8 @@ class GenSpec(
             raise ValueError("sentence_count must be >= 1")
         if lo < 1 or hi < lo:
             raise ValueError(f"invalid words range: {words!r}")
+        if hi - lo >= 1 << 64:
+            raise ValueError(f"words range {words!r} holds more than 2**64 lengths")
         if language_count < 1:
             raise ValueError("language_count must be >= 1")
         if language_count > lo:
@@ -155,28 +163,64 @@ def _language_pattern(tagged: int, languages: int, arrangement: Arrangement, rng
     return [rng.below(languages) for _ in range(tagged)]
 
 
+# Characters of finished text that _column_text keeps for reuse. A wide range of long
+# sentences would otherwise hold about as much text as it prints.
+_TABLE_BUDGET = 1 << 22
+
+
 def _column_text(spec: GenSpec) -> Iterator[str]:
-    """The COLUMN text of the sentences a spec describes, one sentence at a time, drawn in one pass."""
+    """The COLUMN text of the sentences a spec describes, one sentence at a time, drawn in one pass.
+
+    A text is one join of a head "w<p><TAB>" per position and an end "<tag><LF>" per
+    token. Under ALTERNATING and BLOCKED, each length's text is built once and yielded
+    again, as the same object, for a repeat, while the table stays within _TABLE_BUDGET.
+    """
     rng = Xoshiro256StarStar(spec.seed)
     lo, hi = spec.word_range
-    codes = [f"L{i + 1}" for i in range(spec.language_count)]
+    ends = [f"L{i + 1}\n" for i in range(spec.language_count)]
+    heads: list[str] = []  # grown to the longest sentence drawn so far, not to hi
+    texts: dict[int, str] | None = None if spec.arrangement is Arrangement.RANDOM else {}
+    budget = _TABLE_BUDGET
     for _ in range(spec.sentence_count):
         total = lo if lo == hi else lo + rng.below(hi - lo + 1)
+        if texts is not None and total in texts:
+            yield texts[total]
+            continue
+        if len(heads) < total:
+            heads.extend([f"w{position}\t" for position in range(len(heads), total)])
         u = min(int(spec.undefined_ratio * total + 1e-9), total - 1)
         holes = _undefined_positions(total, u)
         pattern = iter(_language_pattern(total - u, spec.language_count, spec.arrangement, rng))
-        lines = []
+        parts = []
         for position in range(total):
-            lines.append(f"w{position}\t{'UN' if position in holes else codes[next(pattern)]}\n")
-        lines.append("\n")
-        yield "".join(lines)
+            parts.append(heads[position])
+            parts.append("UN\n" if position in holes else ends[next(pattern)])
+        parts.append("\n")
+        text = "".join(parts)
+        if texts is not None and len(text) <= budget:
+            texts[total] = text
+            budget -= len(text)
+        yield text
 
 
 def generate(spec: GenSpec) -> Corpus:
     """The corpus a spec describes, parsed from its COLUMN text; deterministic for a fixed seed.
 
     The text is scanned a sentence at a time, as the lines of each sentence's
-    text, which ends in an LF; the whole text is never held at once.
+    text, which ends in an LF; the whole text is never held at once. Under
+    ALTERNATING and BLOCKED, each distinct text is scanned once and its Sentence reused.
     """
-    lines = itertools.chain.from_iterable(text.split("\n")[:-1] for text in _column_text(spec))
-    return _corpus(_scan_column, lines, DEFAULT_POLICY, "synthetic")
+    texts = _column_text(spec)
+    if spec.arrangement is Arrangement.RANDOM:
+        lines = itertools.chain.from_iterable(text.split("\n")[:-1] for text in texts)
+        return _corpus(_scan_column, lines, DEFAULT_POLICY, "synthetic")
+    tags = _Tags(DEFAULT_POLICY)
+    sentences: dict[str, Sentence] = {}
+
+    def sentence(text: str) -> Sentence:
+        if text not in sentences:
+            ((surfaces, sentence_tags),) = _scan_column(text.split("\n")[:-1], tags, "synthetic")
+            sentences[text] = Sentence._checked(surfaces, sentence_tags)
+        return sentences[text]
+
+    return Corpus(name="synthetic", sentences=map(sentence, texts))

@@ -3,12 +3,15 @@
 Deliberately written in a different style from the library (filter + Counter
 + direct formula transcription) so both sides can be compared bit-for-bit.
 Input is a plain tag list: language codes as strings, None for undefined.
+naive_column_text writes `codemix generate`'s text one token at a time.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+
+from codemix.synth import Xoshiro256StarStar
 
 
 def naive_counts(tags: list[str | None]) -> dict:
@@ -41,3 +44,28 @@ def naive_metrics(tags: list[str | None], mix_weight: float = 50.0, switch_weigh
         cf2 = numerator / ((0.25 / (total - 1)) * (lf - 1.0) + 1.0)
         cf3 = numerator / (math.atan(lf) / math.pi + 0.75)
     return {**c, "lf": lf, "sf": sf, "mf": mf, "cmi": cmi, "cf1": cf1, "cf2": cf2, "cf3": cf3}
+
+
+def naive_column_text(spec) -> str:
+    """The COLUMN text of a GenSpec, one f-string per token, drawing lengths and RANDOM tags in sentence order."""
+    rng = Xoshiro256StarStar(spec.seed)
+    lo, hi = spec.word_range
+    languages = spec.language_count
+    lines = []
+    for _ in range(spec.sentence_count):
+        total = lo if lo == hi else lo + rng.below(hi - lo + 1)
+        undefined = min(int(spec.undefined_ratio * total + 1e-9), total - 1)
+        holes = {((i + 1) * total) // (undefined + 1) for i in range(undefined)}
+        tagged = total - undefined
+        if spec.arrangement.value == "alternating":
+            pattern = [i % languages for i in range(tagged)]
+        elif spec.arrangement.value == "blocked":
+            block = (tagged + languages - 1) // languages
+            pattern = [min(i // block, languages - 1) for i in range(tagged)]
+        else:
+            pattern = [rng.below(languages) for _ in range(tagged)]
+        codes = iter(pattern)
+        for position in range(total):
+            lines.append(f"w{position}\t{'UN' if position in holes else f'L{next(codes) + 1}'}\n")
+        lines.append("\n")
+    return "".join(lines)

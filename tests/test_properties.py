@@ -398,7 +398,7 @@ CLI_RENDERINGS = {
 PARSER = cli.build_parser()  # built once: building it costs more than a run on a fuzz text
 
 
-@settings(max_examples=1000, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(fuzz_text, st.sampled_from([None, "undefined"]))
 def test_cli_report_matches_library_report(tmp_path_factory, capsys, caplog, text, unknown):
     base = tmp_path_factory.getbasetemp()

@@ -16,9 +16,12 @@ from codemix import (
     generate,
     write_corpus,
 )
+from codemix import synth
 from codemix.cli import main
-from codemix.synth import Xoshiro256StarStar
+from codemix.corpus_io import parse_column_format
+from codemix.synth import Xoshiro256StarStar, _column_text
 from conftest import enumerate_small
+from naive_oracle import naive_column_text
 
 
 def codes_of(sentence):
@@ -99,6 +102,8 @@ class TestGenerate:
         [
             ((0, 3, 1), ValueError, "sentence_count must be >= 1"),
             ((1, (3, 2), 1), ValueError, "invalid words range: (3, 2)"),
+            ((1, (1, 2**64 + 1), 1), ValueError,
+             "words range (1, 18446744073709551617) holds more than 2**64 lengths"),
             ((1, 3, 0), ValueError, "language_count must be >= 1"),
             ((2.5, 3, 1), TypeError, "sentence_count must be an int, not 2.5"),
             ((1, (1.5, 3), 1), TypeError, "words must be an int or a (min, max) pair of ints, not (1.5, 3)"),
@@ -152,6 +157,27 @@ def test_generate_cli_prints_the_generated_corpus(capsys, spec):
     assert corpus.name == "synthetic"
 
 
+@settings(max_examples=300)
+@given(gen_specs())
+def test_column_text_matches_the_per_token_oracle(spec):
+    texts = list(_column_text(spec))
+    text = "".join(texts)
+    assert text == naive_column_text(spec)
+    corpus = generate(spec)
+    assert repr(corpus) == repr(parse_column_format(text, name="synthetic"))
+    # ALTERNATING and BLOCKED build one text, and one Sentence, per length; RANDOM builds every sentence anew.
+    distinct = len(texts) if spec.arrangement is Arrangement.RANDOM else len({t.count("\n") for t in texts})
+    assert len({id(t) for t in texts}) == len({id(s) for s in corpus.sentences}) == distinct
+
+
+def test_a_text_beyond_the_table_budget_is_built_again(monkeypatch):
+    spec = GenSpec(60, (2, 9), 2, Arrangement.BLOCKED, 0.3, 13)
+    monkeypatch.setattr(synth, "_TABLE_BUDGET", 30)  # room for the first text, of 3 tokens, and no more
+    texts = list(_column_text(spec))
+    assert "".join(texts) == naive_column_text(spec)
+    assert len({id(t) for t in texts}) == len(texts) - texts[1:].count(texts[0])
+
+
 class TestEnumerateSmall:
     def test_single_length_single_tag(self):
         sentences = list(enumerate_small(1, [LanguageTag.language("L1")]))
@@ -194,6 +220,12 @@ class TestRng:
     def test_below_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             Xoshiro256StarStar(0).below(0)
+
+    def test_below_rejects_a_bound_no_64_bit_draw_can_meet(self):
+        # A bound above 2**64 once left no draw under the rejection threshold, and below() never returned.
+        with pytest.raises(ValueError, match=r"^bound 18446744073709551617 exceeds 2\*\*64$"):
+            Xoshiro256StarStar(0).below(2**64 + 1)
+        assert 0 <= Xoshiro256StarStar(0).below(2**64) < 2**64
 
     def test_frozen_reference_stream(self):
         # Pinned so accidental algorithm changes are caught; the generated
