@@ -165,7 +165,7 @@ def _language_pattern(tagged: int, languages: int, arrangement: Arrangement, rng
 
 # Characters of finished text that _column_text keeps for reuse. A wide range of long
 # sentences would otherwise hold about as much text as it prints.
-_TABLE_BUDGET = 1 << 22
+_TABLE_BUDGET = 1 << 20
 
 
 def _column_text(spec: GenSpec) -> Iterator[str]:
@@ -179,11 +179,11 @@ def _column_text(spec: GenSpec) -> Iterator[str]:
     lo, hi = spec.word_range
     ends = [f"L{i + 1}\n" for i in range(spec.language_count)]
     heads: list[str] = []  # grown to the longest sentence drawn so far, not to hi
-    texts: dict[int, str] | None = None if spec.arrangement is Arrangement.RANDOM else {}
-    budget = _TABLE_BUDGET
+    texts: dict[int, str] = {}  # one per length; RANDOM draws each tag, so it keeps none
+    budget = 0 if spec.arrangement is Arrangement.RANDOM else _TABLE_BUDGET
     for _ in range(spec.sentence_count):
         total = lo if lo == hi else lo + rng.below(hi - lo + 1)
-        if texts is not None and total in texts:
+        if total in texts:
             yield texts[total]
             continue
         if len(heads) < total:
@@ -197,7 +197,7 @@ def _column_text(spec: GenSpec) -> Iterator[str]:
             parts.append("UN\n" if position in holes else ends[next(pattern)])
         parts.append("\n")
         text = "".join(parts)
-        if texts is not None and len(text) <= budget:
+        if len(text) <= budget:
             texts[total] = text
             budget -= len(text)
         yield text
