@@ -215,12 +215,13 @@ def generate(spec: GenSpec) -> Corpus:
         lines = itertools.chain.from_iterable(text.split("\n")[:-1] for text in texts)
         return _corpus(_scan_column, lines, DEFAULT_POLICY, "synthetic")
     tags = _Tags(DEFAULT_POLICY)
-    sentences: dict[str, Sentence] = {}
+    sentences: dict[int, Sentence] = {}  # by the text's line count, its length plus one, so no text is kept
 
     def sentence(text: str) -> Sentence:
-        if text not in sentences:
+        lines = text.count("\n")
+        if lines not in sentences:
             ((surfaces, sentence_tags),) = _scan_column(text.split("\n")[:-1], tags, "synthetic")
-            sentences[text] = Sentence._checked(surfaces, sentence_tags)
-        return sentences[text]
+            sentences[lines] = Sentence._checked(surfaces, sentence_tags)
+        return sentences[lines]
 
     return Corpus(name="synthetic", sentences=map(sentence, texts))

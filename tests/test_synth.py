@@ -170,6 +170,13 @@ def test_column_text_matches_the_per_token_oracle(spec):
     assert len({id(t) for t in texts}) == len({id(s) for s in corpus.sentences}) == distinct
 
 
+def test_generate_tells_apart_lengths_whose_texts_are_the_same_size():
+    # With 10 blocked languages, the 170- and 171-token texts both hold 1268 characters: a longer
+    # sentence has larger blocks, so fewer four-character "L10" ends.
+    spec = GenSpec(400, (10, 200), 10, Arrangement.BLOCKED, 0.0, 1)
+    assert generate(spec) == parse_column_format("".join(_column_text(spec)))
+
+
 def test_a_text_beyond_the_table_budget_is_built_again(monkeypatch):
     spec = GenSpec(60, (2, 9), 2, Arrangement.BLOCKED, 0.3, 13)
     monkeypatch.setattr(synth, "_TABLE_BUDGET", 30)  # room for the first text, of 3 tokens, and no more
