@@ -11,10 +11,20 @@ from pathlib import Path
 
 import pytest
 
-from codemix import Arrangement, GenSpec, MetricConfig, aggregate, generate, parse_column_format, parse_inline_format
+from codemix import (
+    Arrangement,
+    GenSpec,
+    MetricConfig,
+    aggregate,
+    generate,
+    parse_column_format,
+    parse_inline_format,
+    write_corpus,
+)
 from codemix.cli import _parse_words, build_parser, main
 from codemix.render import render_per_sentence_csv, render_report_json
-from conftest import FIXTURES
+from codemix.stats import _MEMO_SIZE
+from conftest import FIXTURES, signature_corpus
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -74,6 +84,14 @@ COMPARE_PAIRS = [("cases_text", "cases_math"), ("case6", "synth7")]
 SHARED_ROW_SOURCES = {name: GOLDEN / f"{name}.tags" for name in ("repeats", "distinct")}
 PER_SENTENCE_OUTPUTS = ("analyze_per_sentence.json", "analyze_per_sentence_w30_70.json",
                         "analyze.csv", "analyze_w30_70.csv")
+
+# conftest.signature_corpus(), the one pinned corpus with more signatures than the fold remembers, is
+# written at test time and pinned for its summaries only: its per-sentence CSV alone is 254 KB.
+PAST_CAP_OUTPUTS = {
+    "stats.txt": ["stats"],
+    "analyze.json": ["analyze"],
+    "analyze_w30_70.json": ["analyze", "--weights", "30,70"],
+}
 
 # Every pinned corpus as (name, path, parser) for the library, which names a corpus as the CLI names its file.
 LIBRARY_SOURCES = [
@@ -174,6 +192,22 @@ def test_shared_row_stdout(capsys, source, output):
     command, *flags = STDOUT_OUTPUTS[output]
     argv = [command, str(SHARED_ROW_SOURCES[source]), *flags]
     assert stdout_bytes(capsys, argv) == golden(source, output).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def signatures_source(tmp_path_factory) -> Path:
+    corpus = signature_corpus()
+    assert len({counts for counts, _ in aggregate(corpus).per_sentence}) > _MEMO_SIZE
+    source = tmp_path_factory.mktemp("past_cap") / "signatures.tags"
+    source.write_text(write_corpus(corpus), encoding="utf-8")
+    return source
+
+
+@pytest.mark.parametrize("output", PAST_CAP_OUTPUTS)
+def test_past_the_memo_cap_stdout(capsys, signatures_source, output):
+    command, *flags = PAST_CAP_OUTPUTS[output]
+    argv = [command, str(signatures_source), *flags]
+    assert stdout_bytes(capsys, argv) == (GOLDEN / f"signatures.{output}").read_bytes()
 
 
 def test_int_weights_render_as_the_default_weights():
