@@ -116,59 +116,71 @@ def _fold(
     Every index is a function of a sentence's counts, its signature, so each
     signature's metrics are computed once, on its first sentence, and its
     memo entry counts the sentences that have it; a repeat costs one
-    increment. With per_sentence, the report's per_sentence holds each
-    sentence's (counts, metrics) pair, in corpus order: one pair per
-    signature, made on its first sentence. The fold holds nothing
+    increment. The loop adds only what a sentence's codes give, its
+    per-language counts. add folds in the rest, which depends on the counts
+    alone, times the entry's count: once per remembered signature after the
+    loop, and at once for each sentence whose signature is past the memo's
+    cap. So min and max do not run in corpus order, which no output shows:
+    no index is -0.0 or NaN. With per_sentence, the report's per_sentence
+    holds each sentence's (counts, metrics) pair, in corpus order: one pair
+    per signature, made on its first sentence. The fold holds nothing
     per sentence but a reference to that pair; without per_sentence, it is
     empty. It is the list the fold appended to, not a tuple: a copy would hold
     every reference twice at the end of the fold, which the CLI's peak memory
     shows. aggregate hands out a tuple.
 
     Each index's sum is kept exactly, as an int in units of 2**-1074, the
-    smallest float step: an entry adds its values once, times its count, at
-    the end, and a signature past the memo's cap adds them at once. An int
-    quotient is correctly rounded, as math.fsum is, so each mean is statistics.fmean's.
+    smallest float step. An int quotient is correctly rounded, as math.fsum
+    is, so each mean is statistics.fmean's.
     """
     pairs: list[tuple[SentenceCounts, SentenceMetrics]] = []
-    memo: dict[SentenceCounts, list] = {}  # counts -> [summary values, (counts, metrics), sentences that have it]
+    memo: dict[SentenceCounts, list] = {}  # counts -> [(counts, metrics), sentences that have it]
     word_counts: dict[str, int] = {}
     sentence_counts: dict[str, int] = {}
     independent_words = independent_sentences = tokens = 0
     low, high = [math.inf] * len(SUMMARY_INDICES), [-math.inf] * len(SUMMARY_INDICES)
     sums = [0] * len(SUMMARY_INDICES)
     mixed = 0  # sentences with CMI > 0
+
+    def add(entry: list) -> None:
+        nonlocal independent_words, independent_sentences, tokens, mixed
+        (counts, metrics), count = entry
+        tokens += count * counts.total_tokens
+        if counts.undefined_tokens:
+            independent_words += count * counts.undefined_tokens
+            independent_sentences += count
+        if metrics.cmi > 0:
+            mixed += count
+        summary = metrics.cmi, metrics.cf1, metrics.cf2, metrics.cf3, float(counts.total_tokens)
+        for column, value in enumerate(summary):
+            if value < low[column]:
+                low[column] = value
+            if value > high[column]:
+                high[column] = value
+            numerator, denominator = value.as_integer_ratio()  # denominator is 2**k, k <= 1074
+            sums[column] += count * numerator << 1075 - denominator.bit_length()
+
     index = -1
     for index, (counts, per_language) in enumerate(counted):
         entry = memo.get(counts)
         if entry is not None:
-            entry[2] += 1
+            entry[1] += 1
         else:
-            entry = _evaluate(counts, config)
-            # In corpus order, so that of equal values (0.0 and -0.0) the one min() and max() pick stays.
-            for column, value in enumerate(entry[0]):
-                if value < low[column]:
-                    low[column] = value
-                if value > high[column]:
-                    high[column] = value
+            entry = [(counts, metrics_from_counts(counts, config)), 1]
             if len(memo) < _MEMO_SIZE:
                 memo[counts] = entry
             else:
-                mixed += _add(sums, entry)
-        tokens += counts.total_tokens
+                add(entry)
         for code, words in per_language.items():
             word_counts[code] = word_counts.get(code, 0) + words
             sentence_counts[code] = sentence_counts.get(code, 0) + 1
-        undefined = counts.undefined_tokens
-        if undefined:
-            independent_words += undefined
-            independent_sentences += 1
         if per_sentence:
-            pairs.append(entry[1])
+            pairs.append(entry[0])
     sentences = index + 1
     if not sentences:
         raise ValueError("empty corpus")
     for entry in memo.values():
-        mixed += _add(sums, entry)
+        add(entry)
     distribution = [
         LanguageDistributionRow(
             language=code,
@@ -198,25 +210,6 @@ def _fold(
         cmi_mixed=totals[0] / mixed if mixed else 0.0,  # CMI >= 0, so its zeros add nothing to the total
         per_sentence=pairs,  # a list, not a tuple: see the docstring
     )
-
-
-def _evaluate(counts: SentenceCounts, config: MetricConfig) -> list:
-    """A new memo entry: a sentence's summary values, in SUMMARY_INDICES order, (counts, metrics), and 1."""
-    metrics = metrics_from_counts(counts, config)
-    summary = (metrics.cmi, metrics.cf1, metrics.cf2, metrics.cf3, float(counts.total_tokens))
-    return [summary, (counts, metrics), 1]
-
-
-def _add(sums: list[int], entry: list) -> int:
-    """Adds an entry's summary values, times its count, to sums, in units of 2**-1074.
-
-    Returns how many sentences that is if its CMI, the first value, is above 0, else 0.
-    """
-    summary, _, count = entry
-    for column, value in enumerate(summary):
-        numerator, denominator = value.as_integer_ratio()  # denominator is 2**k, k <= 1074
-        sums[column] += count * numerator << 1075 - denominator.bit_length()
-    return count if summary[0] > 0 else 0
 
 
 def _rows(

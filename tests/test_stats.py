@@ -73,10 +73,11 @@ class TestLanguageDistribution:
 
 class TestAggregate:
     def test_cmi_all_versus_mixed(self):
-        corpus = make_corpus([["EN"] * 10, [f"L{i}" for i in range(1, 11)]])
+        # The last sentence's CMI, 100/101, is below 1 but still above 0, so it is mixed.
+        corpus = make_corpus([["EN"] * 10, [f"L{i}" for i in range(1, 11)], ["EN"] * 100 + ["HI"]])
         report = aggregate(corpus)
-        assert report.cmi_all == pytest.approx(45.0)
-        assert report.cmi_mixed == pytest.approx(90.0)
+        assert report.cmi_all == pytest.approx((90.0 + 100 / 101) / 3)
+        assert report.cmi_mixed == pytest.approx((90.0 + 100 / 101) / 2)
 
     def test_cf2_summary_over_two_known_sentences(self):
         corpus = make_corpus([["L1", "L2"] * 5, ["L1"] * 5 + ["L2"] * 5])
