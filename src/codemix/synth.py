@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import sys
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 
@@ -131,8 +132,8 @@ class GenSpec(
             raise ValueError("sentence_count must be >= 1")
         if lo < 1 or hi < lo:
             raise ValueError(f"invalid words range: {words!r}")
-        if hi - lo >= 1 << 64:
-            raise ValueError(f"words range {words!r} holds more than 2**64 lengths")
+        if hi > sys.maxsize:  # no list index reaches a longer sentence
+            raise ValueError(f"words maximum {hi} exceeds sys.maxsize")
         if language_count < 1:
             raise ValueError("language_count must be >= 1")
         if language_count > lo:

@@ -327,11 +327,11 @@ class TestGenerate:
             "error: language_count 5 exceeds minimum sentence length 2\n",
         )
 
-    def test_a_words_range_beyond_the_rng_is_one_error_line(self):
-        # More than 2**64 lengths once made the length draw reject every number, and generate ran until killed.
-        done = _run_child(["generate", "--sentences", "1", "--words", "1:18446744073709551617", "--languages", "1"])
+    def test_a_words_maximum_no_list_can_hold_is_one_error_line(self):
+        # 2**64 lengths once drew a sentence of about 10**19 tokens, whose text grew until generate was killed.
+        done = _run_child(["generate", "--sentences", "1", "--words", "1:18446744073709551616", "--languages", "1"])
         assert (done.returncode, done.stdout) == (1, b"")
-        assert done.stderr == b"error: words range (1, 18446744073709551617) holds more than 2**64 lengths\n"
+        assert done.stderr == b"error: words maximum 18446744073709551616 exceeds sys.maxsize\n"
 
 
 class TestStats:

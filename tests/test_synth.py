@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -102,8 +103,7 @@ class TestGenerate:
         [
             ((0, 3, 1), ValueError, "sentence_count must be >= 1"),
             ((1, (3, 2), 1), ValueError, "invalid words range: (3, 2)"),
-            ((1, (1, 2**64 + 1), 1), ValueError,
-             "words range (1, 18446744073709551617) holds more than 2**64 lengths"),
+            ((1, (1, sys.maxsize + 1), 1), ValueError, f"words maximum {sys.maxsize + 1} exceeds sys.maxsize"),
             ((1, 3, 0), ValueError, "language_count must be >= 1"),
             ((2.5, 3, 1), TypeError, "sentence_count must be an int, not 2.5"),
             ((1, (1.5, 3), 1), TypeError, "words must be an int or a (min, max) pair of ints, not (1.5, 3)"),
@@ -119,6 +119,9 @@ class TestGenerate:
     def test_invalid_spec_rejected_with_its_message(self, args, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             GenSpec(*args)
+
+    def test_a_words_maximum_of_sys_maxsize_is_accepted(self):
+        assert GenSpec(1, (1, sys.maxsize), 1).word_range == (1, sys.maxsize)
 
     def test_bad_ratio_rejected(self):
         with pytest.raises(ValueError):
