@@ -3,7 +3,8 @@
 Deliberately written in a different style from the library (filter + Counter
 + direct formula transcription) so both sides can be compared bit-for-bit.
 Input is a plain tag list: language codes as strings, None for undefined.
-naive_column_text writes `codemix generate`'s text one token at a time.
+naive_column_text writes `codemix generate`'s text one token at a time, with
+its own copy of the xoshiro256** generator, drawn one method call per number.
 """
 
 from __future__ import annotations
@@ -11,7 +12,41 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from codemix.synth import Xoshiro256StarStar
+_MASK64 = (1 << 64) - 1
+
+
+class NaiveXoshiro:
+    """xoshiro256** with splitmix64 seeding: the four state words in a list, updated one call at a time."""
+
+    def __init__(self, seed: int):
+        state = seed & _MASK64
+        self.s = []
+        for _ in range(4):
+            state = (state + 0x9E3779B97F4A7C15) & _MASK64
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+            self.s.append(z ^ (z >> 31))
+
+    def next_u64(self) -> int:
+        s = self.s
+        x = (s[1] * 5) & _MASK64
+        result = ((((x << 7) | (x >> 57)) & _MASK64) * 9) & _MASK64
+        t = (s[1] << 17) & _MASK64
+        s[2] ^= s[0]
+        s[3] ^= s[1]
+        s[1] ^= s[2]
+        s[0] ^= s[3]
+        s[2] ^= t
+        s[3] = ((s[3] << 45) | (s[3] >> 19)) & _MASK64
+        return result
+
+    def below(self, bound: int) -> int:
+        """Uniform in [0, bound): draws at or above the largest multiple of bound are rejected."""
+        limit = (1 << 64) - (1 << 64) % bound
+        draw = self.next_u64()
+        while draw >= limit:
+            draw = self.next_u64()
+        return draw % bound
 
 
 def naive_counts(tags: list[str | None]) -> dict:
@@ -48,7 +83,7 @@ def naive_metrics(tags: list[str | None], mix_weight: float = 50.0, switch_weigh
 
 def naive_column_text(spec) -> str:
     """The COLUMN text of a GenSpec, one f-string per token, drawing lengths and RANDOM tags in sentence order."""
-    rng = Xoshiro256StarStar(spec.seed)
+    rng = NaiveXoshiro(spec.seed)
     lo, hi = spec.word_range
     languages = spec.language_count
     lines = []

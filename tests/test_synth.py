@@ -246,3 +246,16 @@ class TestRng:
             6990951692964543102,
             12544586762248559009,
         ]
+        for seed, output in ((0, 9098089192077192179), (42, 17210000535395598761), (2**64 - 1, 15683018422313792818)):
+            rng = Xoshiro256StarStar(seed)
+            assert [rng.next_u64() for _ in range(10_000)][-1] == output, seed
+        rng = Xoshiro256StarStar(3)
+        assert [rng.below(3) for _ in range(50)] == [
+            2, 1, 2, 1, 2, 2, 2, 2, 2, 2, 0, 1, 2, 0, 2, 0, 1, 0, 1, 1, 2, 0, 2, 2, 0,
+            0, 1, 1, 0, 1, 0, 0, 1, 0, 1, 1, 2, 1, 0, 0, 1, 1, 2, 0, 2, 1, 2, 1, 1, 1,
+        ]
+        rng = Xoshiro256StarStar(3)
+        assert [rng.below(27) for _ in range(50)] == [
+            2, 1, 5, 1, 17, 20, 5, 11, 2, 2, 6, 4, 14, 18, 20, 21, 13, 21, 4, 10, 11, 0, 11, 2, 12,
+            3, 16, 7, 6, 7, 24, 6, 10, 24, 25, 4, 26, 16, 24, 15, 19, 22, 11, 15, 17, 1, 26, 1, 22, 16,
+        ]
