@@ -99,6 +99,11 @@ def aggregate(corpus: Corpus, config: MetricConfig = DEFAULT_CONFIG) -> CorpusRe
     return report._replace(per_sentence=tuple(report.per_sentence))
 
 
+def _summary(counts: SentenceCounts, metrics: SentenceMetrics) -> tuple[float, ...]:
+    """A sentence's value of each of SUMMARY_INDICES."""
+    return metrics.cmi, metrics.cf1, metrics.cf2, metrics.cf3, float(counts.total_tokens)
+
+
 # At most this many signatures are remembered per fold; a later new one is
 # folded in, and its metrics computed, for each sentence that has it, so a
 # fold's memory stays bounded.
@@ -116,12 +121,13 @@ def _fold(
     Every index is a function of a sentence's counts, its signature, so each
     signature's metrics are computed once, on its first sentence, and its
     memo entry counts the sentences that have it; a repeat costs one
-    increment. The loop adds only what a sentence's codes give, its
-    per-language counts. add folds in the rest, which depends on the counts
-    alone, times the entry's count: once per remembered signature after the
-    loop, and at once for each sentence whose signature is past the memo's
-    cap. So min and max do not run in corpus order, which no output shows:
-    no index is -0.0 or NaN. With per_sentence, the report's per_sentence
+    increment. The loop adds what a sentence's codes give, its per-language
+    counts, and takes each index's min and max at a signature's first
+    sentence, so they run in corpus order: of 0.0 and -0.0, the first one
+    seen stays, as min() and max() keep it. add folds in the rest, which
+    depends on the counts alone, times the entry's count: once per remembered
+    signature after the loop, and at once for each sentence whose signature
+    is past the memo's cap. With per_sentence, the report's per_sentence
     holds each sentence's (counts, metrics) pair, in corpus order: one pair
     per signature, made on its first sentence. The fold holds nothing
     per sentence but a reference to that pair; without per_sentence, it is
@@ -151,12 +157,7 @@ def _fold(
             independent_sentences += count
         if metrics.cmi > 0:
             mixed += count
-        summary = metrics.cmi, metrics.cf1, metrics.cf2, metrics.cf3, float(counts.total_tokens)
-        for column, value in enumerate(summary):
-            if value < low[column]:
-                low[column] = value
-            if value > high[column]:
-                high[column] = value
+        for column, value in enumerate(_summary(counts, metrics)):
             numerator, denominator = value.as_integer_ratio()  # denominator is 2**k, k <= 1074
             sums[column] += count * numerator << 1075 - denominator.bit_length()
 
@@ -166,7 +167,13 @@ def _fold(
         if entry is not None:
             entry[1] += 1
         else:
-            entry = [(counts, metrics_from_counts(counts, config)), 1]
+            metrics = metrics_from_counts(counts, config)
+            entry = [(counts, metrics), 1]
+            for column, value in enumerate(_summary(counts, metrics)):
+                if value < low[column]:
+                    low[column] = value
+                if value > high[column]:
+                    high[column] = value
             if len(memo) < _MEMO_SIZE:
                 memo[counts] = entry
             else:

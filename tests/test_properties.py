@@ -10,7 +10,7 @@ from statistics import fmean
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from codemix import (
@@ -606,6 +606,7 @@ summary_floats = st.sampled_from([5e-324, -5e-324, 0.0, -0.0, 1 / 3, 1e300, -1e3
     st.lists(summary_floats, min_size=1, max_size=6),
     st.integers(0, 2**32),
 )
+@example(signatures=_MEMO_SIZE + 1, pool=[5e-324, -0.0, 5e-324], seed=3)  # a signed zero past the memo cap
 def test_streamed_summary_equals_fmean_min_max(signatures, pool, seed):
     # (value, count) pairs: one signature per value, with every index equal to
     # it, and count sentences that have it, shuffled into one corpus.
