@@ -24,6 +24,14 @@ and UN an undefined alias, so the default policy reads that text.
 Randomness comes from xoshiro256** seeded with splitmix64, so the exact
 output stream is reproducible from the seed alone, independent of the host
 RNG. Uniform draws below a bound use rejection sampling (no modulo bias).
+The stream is one generator that keeps the four state words in its locals;
+Xoshiro256StarStar's next_u64 and below draw from it, and RANDOM takes a
+sentence's tags from it in one islice of the draws under the rejection
+threshold. Every draw, and so every generated byte, is what the same seed
+gave when the state was a list updated one method call per draw.
+
+This module imports corpus_io and model only inside generate(), so
+`codemix generate`, which prints text, loads neither.
 """
 
 from __future__ import annotations
@@ -33,9 +41,6 @@ import itertools
 import sys
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-
-from .corpus_io import DEFAULT_POLICY, _corpus, _scan_column, _Tags
-from .model import Corpus, Sentence
 
 _MASK64 = (1 << 64) - 1
 
@@ -48,45 +53,52 @@ def _splitmix64(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
+def _xoshiro_outputs(seed: int) -> Iterator[int]:
+    """The endless xoshiro256** output stream of a seed, its four state words expanded by splitmix64.
 
-
-class Xoshiro256StarStar:
-    """xoshiro256** with splitmix64 state expansion from a 64-bit seed."""
-
-    def __init__(self, seed: int):
-        state = seed & _MASK64
-        s = []
-        for _ in range(4):
-            state, out = _splitmix64(state)
-            s.append(out)
-        self._s = s
-
-    def next_u64(self) -> int:
-        s0, s1, s2, s3 = self._s
-        result = (_rotl((s1 * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s1 << 17) & _MASK64
+    The state lives in this generator's locals, so a draw costs one resume and no attribute or list traffic.
+    A rotation's result is masked only where its high bits would reach the low 64: times 9, they cannot.
+    """
+    state = seed & _MASK64
+    words = []
+    for _ in range(4):
+        state, out = _splitmix64(state)
+        words.append(out)
+    s0, s1, s2, s3 = words
+    mask = _MASK64
+    while True:
+        x = s1 * 5 & mask
+        yield (x << 7 | x >> 57) * 9 & mask
+        t = s1 << 17 & mask
         s2 ^= s0
         s3 ^= s1
         s1 ^= s2
         s0 ^= s3
         s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s = [s0, s1, s2, s3]
-        return result
+        s3 = (s3 << 45 | s3 >> 19) & mask
+
+
+def _threshold(bound: int) -> int:
+    """The largest multiple of bound up to 2**64: a draw below it, mod bound, is uniform in [0, bound)."""
+    if bound <= 0:
+        raise ValueError("bound must be positive")
+    if bound > 1 << 64:  # no 64-bit draw could be accepted
+        raise ValueError(f"bound {bound} exceeds 2**64")
+    return (1 << 64) - ((1 << 64) % bound)
+
+
+class Xoshiro256StarStar:
+    """xoshiro256** with splitmix64 state expansion from a 64-bit seed; outputs is its stream, which it draws from."""
+
+    def __init__(self, seed: int):
+        self.outputs = _xoshiro_outputs(seed)
+
+    def next_u64(self) -> int:
+        return next(self.outputs)
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound), for 0 < bound <= 2**64."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        if bound > 1 << 64:  # no 64-bit draw could be accepted
-            raise ValueError(f"bound {bound} exceeds 2**64")
-        threshold = (1 << 64) - ((1 << 64) % bound)
-        while True:
-            draw = self.next_u64()
-            if draw < threshold:
-                return draw % bound
+        return next(filter(_threshold(bound).__gt__, self.outputs)) % bound
 
 
 class Arrangement(enum.Enum):
@@ -151,8 +163,9 @@ class GenSpec(
         return self.words if isinstance(self.words, tuple) else (self.words, self.words)
 
 
-def _undefined_positions(total: int, count: int) -> set[int]:
-    return {((i + 1) * total) // (count + 1) for i in range(count)}
+def _undefined_positions(total: int, count: int) -> list[int]:
+    """The sorted positions of a sentence's count undefined tokens, evenly spaced and interior."""
+    return [((i + 1) * total) // (count + 1) for i in range(count)]
 
 
 def _language_pattern(tagged: int, languages: int, arrangement: Arrangement, rng: Xoshiro256StarStar) -> list[int]:
@@ -161,7 +174,9 @@ def _language_pattern(tagged: int, languages: int, arrangement: Arrangement, rng
     if arrangement is Arrangement.BLOCKED:
         block = -(-tagged // languages)  # ceil
         return [min(i // block, languages - 1) for i in range(tagged)]
-    return [rng.below(languages) for _ in range(tagged)]
+    # below(languages) per tag, the threshold worked out once
+    draws = itertools.islice(filter(_threshold(languages).__gt__, rng.outputs), tagged)
+    return [draw % languages for draw in draws]
 
 
 # Characters of finished text that _column_text keeps for reuse. A wide range of long
@@ -173,8 +188,9 @@ def _column_text(spec: GenSpec) -> Iterator[str]:
     """The COLUMN text of the sentences a spec describes, one sentence at a time, drawn in one pass.
 
     A text is one join of a head "w<p><TAB>" per position and an end "<tag><LF>" per
-    token. Under ALTERNATING and BLOCKED, each length's text is built once and yielded
-    again, as the same object, for a repeat, while the table stays within _TABLE_BUDGET.
+    token, laid out by slice assignment. Under ALTERNATING and BLOCKED, each length's text is
+    built once and yielded again, as the same object, for a repeat, while the table stays
+    within _TABLE_BUDGET.
     """
     rng = Xoshiro256StarStar(spec.seed)
     lo, hi = spec.word_range
@@ -190,13 +206,18 @@ def _column_text(spec: GenSpec) -> Iterator[str]:
         if len(heads) < total:
             heads.extend([f"w{position}\t" for position in range(len(heads), total)])
         u = min(int(spec.undefined_ratio * total + 1e-9), total - 1)
-        holes = _undefined_positions(total, u)
-        pattern = iter(_language_pattern(total - u, spec.language_count, spec.arrangement, rng))
-        parts = []
-        for position in range(total):
-            parts.append(heads[position])
-            parts.append("UN\n" if position in holes else ends[next(pattern)])
-        parts.append("\n")
+        tags = [ends[i] for i in _language_pattern(total - u, spec.language_count, spec.arrangement, rng)]
+        line_ends: list[str] = []  # tags with "UN\n" at the holes, a run of tags at a time, in O(total)
+        taken = 0
+        for k, hole in enumerate(_undefined_positions(total, u)):  # hole - k tags come before the k-th hole
+            line_ends += tags[taken : hole - k]
+            line_ends.append("UN\n")
+            taken = hole - k
+        line_ends += tags[taken:]
+        parts = [""] * (2 * total + 1)
+        parts[0:-1:2] = heads[:total]
+        parts[1::2] = line_ends
+        parts[-1] = "\n"
         text = "".join(parts)
         if len(text) <= budget:
             texts[total] = text
@@ -211,6 +232,9 @@ def generate(spec: GenSpec) -> Corpus:
     text, which ends in an LF; the whole text is never held at once. Under
     ALTERNATING and BLOCKED, each distinct text is scanned once and its Sentence reused.
     """
+    from .corpus_io import DEFAULT_POLICY, _corpus, _scan_column, _Tags  # here, so `codemix generate` loads neither
+    from .model import Corpus, Sentence
+
     texts = _column_text(spec)
     if spec.arrangement is Arrangement.RANDOM:
         lines = itertools.chain.from_iterable(text.split("\n")[:-1] for text in texts)
