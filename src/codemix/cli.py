@@ -21,22 +21,8 @@ import contextlib
 import errno
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
-from .corpus_io import DEFAULT_LANGUAGES, TagPolicy, UnknownTagAction, _read_lines, _scan_column, _scan_inline, _Tags
-from .metrics import DEFAULT_CONFIG, MetricConfig, _count_tags
-from .render import (
-    _csv_lines,
-    _report_json_pieces,
-    render_comparison_csv,
-    render_comparison_json,
-    render_distribution_table,
-    render_scatter_csv,
-    render_scatter_svg,
-    render_summary_table,
-)
-from .stats import INDEX_NAMES, CorpusReport, _fold, compare, scatter_data
-from .synth import Arrangement, GenSpec, _column_text
 
 
 def _write(fd: int, pieces: Iterable[str]) -> None:
@@ -65,7 +51,21 @@ def _complain(message: str, kind: str = "warning") -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose help, usage and error messages go through _write, as UTF-8, like all other output."""
+    """An ArgumentParser whose help, usage and error messages go through _write, as UTF-8, like all other output.
+
+    A subcommand's parser takes add_arguments, which adds its arguments the first time it parses, so a run
+    adds only the arguments, and imports only the modules, of the subcommand it runs.
+    """
+
+    def __init__(self, *args: object, add_arguments: Callable[[_Parser], None] | None = None, **kwargs: object):
+        super().__init__(*args, **kwargs)
+        self._add_arguments = add_arguments
+
+    def parse_known_args(self, args: object = None, namespace: object = None) -> tuple[argparse.Namespace, list[str]]:
+        if self._add_arguments is not None:
+            add, self._add_arguments = self._add_arguments, None
+            add(self)
+        return super().parse_known_args(args, namespace)
 
     def _print_message(self, message: str, file: object = None) -> None:
         if file is sys.stderr:
@@ -80,6 +80,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_policy(args: argparse.Namespace) -> TagPolicy:
+    from .corpus_io import DEFAULT_LANGUAGES, TagPolicy, UnknownTagAction
+
     codes = DEFAULT_LANGUAGES
     if args.language_codes is not None:
         codes = [c.strip() for c in args.language_codes.split(",") if c.strip()]
@@ -89,6 +91,8 @@ def _build_policy(args: argparse.Namespace) -> TagPolicy:
 
 
 def _parse_weights(raw: str) -> MetricConfig:
+    from .metrics import MetricConfig
+
     parts = raw.split(",")
     if len(parts) != 2:
         raise ValueError(f"--weights expects 'A,B', got {raw!r}")
@@ -110,7 +114,7 @@ def _stem(path: str) -> str:
 
 
 def _report(
-    path: str, args: argparse.Namespace, config: MetricConfig = DEFAULT_CONFIG, per_sentence: bool = False
+    path: str, args: argparse.Namespace, config: MetricConfig | None = None, per_sentence: bool = False
 ) -> CorpusReport:
     """Read, scan, count and fold one corpus (`-` is stdin) a line at a time; every failure and warning names the file.
 
@@ -119,7 +123,14 @@ def _report(
     fold's, one per signature, as aggregate's are. Rows are formatted after
     the fold, but for parsed input that cannot fail, as MetricConfig keeps
     every index finite, so a command that fails still writes nothing.
+    Without a config, the indices use the default weights.
     """
+    from .corpus_io import _read_lines, _scan_column, _scan_inline, _Tags
+    from .metrics import DEFAULT_CONFIG, _count_tags
+    from .stats import _fold
+
+    if config is None:
+        config = DEFAULT_CONFIG
     scan = _scan_inline if args.format == "inline" else _scan_column
     try:
         tags = _Tags(_build_policy(args))
@@ -141,12 +152,16 @@ def _cmd_analyze(args: argparse.Namespace) -> Iterable[str]:
         config = _parse_weights(args.weights)
     except ValueError as exc:
         raise ValueError(f"{args.file}: {exc}") from exc
+    from .render import _csv_lines, _report_json_pieces
+
     if args.out == "csv":
         return _csv_lines(_report(args.file, args, config, per_sentence=True))
     return _report_json_pieces(_report(args.file, args, config, args.per_sentence), config, args.per_sentence)
 
 
 def _cmd_stats(args: argparse.Namespace) -> Iterable[str]:
+    from .render import render_distribution_table, render_summary_table
+
     report = _report(args.file, args)
     return (
         f"corpus: {report.corpus_name}\n",
@@ -161,6 +176,9 @@ def _cmd_stats(args: argparse.Namespace) -> Iterable[str]:
 def _cmd_compare(args: argparse.Namespace) -> Iterable[str]:
     if args.file_a == args.file_b == "-":
         raise ValueError("-: standard input can be read only once")
+    from .render import render_comparison_csv, render_comparison_json
+    from .stats import compare
+
     comparison = compare(_report(args.file_a, args), _report(args.file_b, args))
     if comparison.corpus_a == comparison.corpus_b:  # one stem for two inputs: name each by its path
         comparison = comparison._replace(corpus_a=args.file_a, corpus_b=args.file_b)
@@ -169,6 +187,9 @@ def _cmd_compare(args: argparse.Namespace) -> Iterable[str]:
 
 
 def _cmd_plot(args: argparse.Namespace) -> Iterable[str]:
+    from .render import render_scatter_csv, render_scatter_svg
+    from .stats import scatter_data
+
     pairs = scatter_data(_report(args.file, args, per_sentence=True), args.index)
     target, render = (args.svg, render_scatter_svg) if args.svg is not None else (args.csv, render_scatter_csv)
     text = render(pairs, args.index)
@@ -191,6 +212,8 @@ def _parse_words(raw: str) -> int | tuple[int, int]:
 
 
 def _cmd_generate(args: argparse.Namespace) -> Iterable[str]:
+    from .synth import Arrangement, GenSpec, _column_text
+
     spec = GenSpec(
         sentence_count=args.sentences,
         words=_parse_words(args.words),
@@ -218,11 +241,7 @@ def _add_policy_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="codemix", description="Code-mixing complexity metrics for tagged corpora.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="full report for one corpus")
+def _analyze_arguments(p: _Parser) -> None:
     p.add_argument("file")
     _add_policy_flags(p)
     p.add_argument("--weights", default="50,50", metavar="A,B", help="mix,switch weights (default 50,50)")
@@ -230,19 +249,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-sentence", action="store_true", help="include per-sentence rows in JSON output")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("stats", help="distribution and summary tables for one corpus")
+
+def _stats_arguments(p: _Parser) -> None:
     p.add_argument("file")
     _add_policy_flags(p)
     p.set_defaults(func=_cmd_stats)
 
-    p = sub.add_parser("compare", help="per-index deltas between two corpora")
+
+def _compare_arguments(p: _Parser) -> None:
     p.add_argument("file_a")
     p.add_argument("file_b")
     _add_policy_flags(p)
     p.add_argument("--out", choices=["json", "csv"], default="json", help="output format")
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("plot", help="scatter of an index against sentence length")
+
+def _plot_arguments(p: _Parser) -> None:
+    from .stats import INDEX_NAMES
+
     p.add_argument("file")
     _add_policy_flags(p)
     p.add_argument("--index", choices=list(INDEX_NAMES), required=True)
@@ -251,7 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("--csv", metavar="PATH", help="write a two-column CSV")
     p.set_defaults(func=_cmd_plot)
 
-    p = sub.add_parser("generate", help="emit a deterministic synthetic corpus (COLUMN format)")
+
+def _generate_arguments(p: _Parser) -> None:
+    from .synth import Arrangement
+
     p.add_argument("--sentences", type=int, required=True)
     p.add_argument("--words", required=True, metavar="N|MIN:MAX")
     p.add_argument("--languages", type=int, required=True)
@@ -260,6 +287,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_generate)
 
+
+def build_parser() -> argparse.ArgumentParser:
+    """The codemix parser. Each subcommand's arguments are added when that subcommand parses, so a run adds one set."""
+    parser = _Parser(prog="codemix", description="Code-mixing complexity metrics for tagged corpora.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser("analyze", help="full report for one corpus", add_arguments=_analyze_arguments)
+    sub.add_parser("stats", help="distribution and summary tables for one corpus", add_arguments=_stats_arguments)
+    sub.add_parser("compare", help="per-index deltas between two corpora", add_arguments=_compare_arguments)
+    sub.add_parser("plot", help="scatter of an index against sentence length", add_arguments=_plot_arguments)
+    sub.add_parser(
+        "generate",
+        help="emit a deterministic synthetic corpus (COLUMN format)",
+        add_arguments=_generate_arguments,
+    )
     return parser
 
 

@@ -3,11 +3,11 @@
 Numbers are fixed-point with 2 decimals in CSV and in the human tables; JSON
 additionally carries full double precision under "raw" sub-objects. Key and
 column order is fixed, so identical inputs always serialize byte-identically.
+Only the two JSON renderers import json, so a command that prints no JSON loads none.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Iterator
 
@@ -107,6 +107,8 @@ def _report_json_pieces(report: CorpusReport, config: MetricConfig, per_sentence
         ],
         "raw": {"cmi_all": report.cmi_all, "cmi_mixed": report.cmi_mixed},
     }
+    import json
+
     header = json.dumps(payload, indent=2, allow_nan=False)
     if not per_sentence:
         yield header + "\n"
@@ -146,6 +148,8 @@ def _csv_lines(report: CorpusReport) -> Iterator[str]:
 
 
 def render_comparison_json(comparison: CorpusComparison) -> str:
+    import json
+
     payload = {
         "corpus_a": comparison.corpus_a,
         "corpus_b": comparison.corpus_b,
