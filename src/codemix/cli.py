@@ -12,6 +12,10 @@ code that writes stdout and stderr, so both are UTF-8 whatever the locale or
 PYTHONIOENCODING say. A failing stdout, full or closed, ends the run with one
 `error: <stdout>: ...` line and exit 1, or a silent exit 1 if the reader has
 gone; a failing stderr changes neither stdout nor the exit status.
+
+A run loads only the chosen subcommand's code: each handler imports the
+modules it uses, and each subcommand's parser adds its arguments when it
+parses (see _Parser).
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import errno
 import os
 import sys
 from collections.abc import Callable, Iterable
-
 
 
 def _write(fd: int, pieces: Iterable[str]) -> None:

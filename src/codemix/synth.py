@@ -57,7 +57,7 @@ def _xoshiro_outputs(seed: int) -> Iterator[int]:
     """The endless xoshiro256** output stream of a seed, its four state words expanded by splitmix64.
 
     The state lives in this generator's locals, so a draw costs one resume and no attribute or list traffic.
-    A rotation's result is masked only where its high bits would reach the low 64: times 9, they cannot.
+    The output's rotation needs no mask of its own: times 9, its bits at 2**64 and above stay there, for the last mask.
     """
     state = seed & _MASK64
     words = []
@@ -163,9 +163,8 @@ class GenSpec(
         return self.words if isinstance(self.words, tuple) else (self.words, self.words)
 
 
-def _undefined_positions(total: int, count: int) -> list[int]:
-    """The sorted positions of a sentence's count undefined tokens, evenly spaced and interior."""
-    return [((i + 1) * total) // (count + 1) for i in range(count)]
+def _undefined_positions(total: int, count: int) -> set[int]:
+    return {((i + 1) * total) // (count + 1) for i in range(count)}
 
 
 def _language_pattern(tagged: int, languages: int, arrangement: Arrangement, rng: Xoshiro256StarStar) -> list[int]:
@@ -206,14 +205,10 @@ def _column_text(spec: GenSpec) -> Iterator[str]:
         if len(heads) < total:
             heads.extend([f"w{position}\t" for position in range(len(heads), total)])
         u = min(int(spec.undefined_ratio * total + 1e-9), total - 1)
-        tags = [ends[i] for i in _language_pattern(total - u, spec.language_count, spec.arrangement, rng)]
-        line_ends: list[str] = []  # tags with "UN\n" at the holes, a run of tags at a time, in O(total)
-        taken = 0
-        for k, hole in enumerate(_undefined_positions(total, u)):  # hole - k tags come before the k-th hole
-            line_ends += tags[taken : hole - k]
-            line_ends.append("UN\n")
-            taken = hole - k
-        line_ends += tags[taken:]
+        line_ends = [ends[i] for i in _language_pattern(total - u, spec.language_count, spec.arrangement, rng)]
+        if u:  # one pass, O(total): an insert per hole is quadratic, and a slice per run of tags slower at high ratios
+            holes, tag = _undefined_positions(total, u), iter(line_ends).__next__
+            line_ends = ["UN\n" if position in holes else tag() for position in range(total)]
         parts = [""] * (2 * total + 1)
         parts[0:-1:2] = heads[:total]
         parts[1::2] = line_ends

@@ -501,26 +501,35 @@ class TestStartup:
         assert "codemix.cli" in cli
         assert (cli - bare) & {"dataclasses", "inspect", "logging", "ast", "dis", "tokenize"} == set()
 
-    def test_every_subcommand_on_a_bare_interpreter_loads_no_typing(self, tmp_path):
-        # Under -S, site imports nothing, so every module loaded at the end is the CLI's doing.
-        case6, synth7 = str(FIXTURES / "case6.tags"), str(GOLDEN / "synth7.tags")
-        runs = [
-            ["analyze", case6, "--per-sentence"],
-            ["analyze", case6, "--out", "csv"],
-            ["stats", case6],
-            ["compare", case6, synth7],
-            ["plot", case6, "--index", "cf2", "--csv", str(tmp_path / "plot.csv")],
-            ["generate", "--sentences", "5", "--words", "3", "--languages", "2"],
-        ]
-        script = (
-            f"import sys, codemix.cli\nfor argv in {runs!r}:\n    assert codemix.cli.main(argv) == 0, argv\n"
-            "sys.stderr.write(' '.join(sys.modules))"
-        )
-        done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, env=_child_env(), timeout=60)
+    # Each subcommand with the modules it must not load, beside those no subcommand loads.
+    _ABSENT = {
+        "analyze_json": (["analyze", "{case6}", "--per-sentence"], set()),
+        "analyze_csv": (["analyze", "{case6}", "--out", "csv"], {"json"}),
+        "stats": (["stats", "{case6}"], {"json"}),
+        "compare": (["compare", "{case6}", "{synth7}"], set()),
+        "plot_csv": (["plot", "{case6}", "--index", "cf2", "--csv", "{plot}"], {"json"}),
+        "generate": (
+            ["generate", "--sentences", "5", "--words", "3", "--languages", "2", "--arrangement", "random"],
+            {"json", "codemix.corpus_io", "codemix.model", "codemix.metrics", "codemix.stats", "codemix.render"},
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(_ABSENT))
+    def test_each_subcommand_on_a_bare_interpreter_loads_only_its_modules(self, tmp_path, name):
+        # One child per subcommand, so one subcommand's imports cannot hide another's. Under -S, site imports
+        # nothing, so every module that -X importtime lists is the CLI's doing.
+        paths = {"case6": FIXTURES / "case6.tags", "synth7": GOLDEN / "synth7.tags", "plot": tmp_path / "plot.csv"}
+        template, absent = self._ABSENT[name]
+        argv = [arg.format(**paths) for arg in template]
+        command = [sys.executable, "-S", "-X", "importtime", "-m", "codemix.cli", *argv]
+        done = subprocess.run(command, capture_output=True, env=_child_env(), timeout=60)
         assert done.returncode == 0, done.stderr.decode()
-        loaded = set(done.stderr.decode().split())
-        assert "codemix.cli" in loaded
-        assert loaded & {"typing", "dataclasses", "inspect", "logging", "pathlib"} == set()
+        lines = done.stderr.decode().splitlines()
+        loaded = {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
+        assert "codemix" in loaded
+        assert loaded & {"typing", "dataclasses", "inspect", "logging", "pathlib", *absent} == set()
+        if name == "generate":
+            assert {module for module in loaded if module.startswith("codemix")} == {"codemix", "codemix.synth"}
 
 
 class TestClosedPipe:
