@@ -99,11 +99,6 @@ def aggregate(corpus: Corpus, config: MetricConfig = DEFAULT_CONFIG) -> CorpusRe
     return report._replace(per_sentence=tuple(report.per_sentence))
 
 
-def _summary(counts: SentenceCounts, metrics: SentenceMetrics) -> tuple[float, ...]:
-    """A sentence's value of each of SUMMARY_INDICES."""
-    return metrics.cmi, metrics.cf1, metrics.cf2, metrics.cf3, float(counts.total_tokens)
-
-
 # At most this many signatures are remembered per fold; a later new one is
 # folded in, and its metrics computed, for each sentence that has it, so a
 # fold's memory stays bounded.
@@ -121,17 +116,19 @@ def _fold(
     Every index is a function of a sentence's counts, its signature, so each
     signature's metrics are computed once, on its first sentence, and its
     memo entry counts the sentences that have it; a repeat costs one
-    increment. The loop adds what a sentence's codes give, its per-language
-    counts, and takes each index's min and max at a signature's first
-    sentence, so they run in corpus order: of 0.0 and -0.0, the first one
-    seen stays, as min() and max() keep it. add folds in the rest, which
-    depends on the counts alone, times the entry's count: once per remembered
-    signature after the loop, and at once for each sentence whose signature
-    is past the memo's cap. With per_sentence, the report's per_sentence
-    holds each sentence's (counts, metrics) pair, in corpus order: one pair
-    per signature, made on its first sentence. The fold holds nothing
-    per sentence but a reference to that pair; without per_sentence, it is
-    empty. It is the list the fold appended to, not a tuple: a copy would hold
+    increment. The loop adds only what a sentence's codes give, its
+    per-language counts. add folds in the rest, which depends on the counts
+    alone, times the entry's count: once per remembered signature after the
+    loop, and at once for each sentence whose signature is past the memo's
+    cap. Min and max run in the order of each signature's first sentence,
+    so of 0.0 and -0.0 the first one seen stays, as min() and max() keep
+    it. The memo keeps that order, and every signature past the cap first
+    appears after every remembered one, so add takes the past-cap ones'
+    min and max apart, and those are merged in last. With per_sentence,
+    the report's per_sentence holds each sentence's (counts, metrics)
+    pair, in corpus order: one pair per signature, made on its first
+    sentence. The fold holds nothing per sentence but a reference to that
+    pair; without per_sentence, it is empty. It is the list the fold appended to, not a tuple: a copy would hold
     every reference twice at the end of the fold, which the CLI's peak memory
     shows. aggregate hands out a tuple.
 
@@ -145,10 +142,11 @@ def _fold(
     sentence_counts: dict[str, int] = {}
     independent_words = independent_sentences = tokens = 0
     low, high = [math.inf] * len(SUMMARY_INDICES), [-math.inf] * len(SUMMARY_INDICES)
+    late_low, late_high = low.copy(), high.copy()  # of the signatures past the memo's cap
     sums = [0] * len(SUMMARY_INDICES)
     mixed = 0  # sentences with CMI > 0
 
-    def add(entry: list) -> None:
+    def add(entry: list, low: list[float], high: list[float]) -> None:
         nonlocal independent_words, independent_sentences, tokens, mixed
         (counts, metrics), count = entry
         tokens += count * counts.total_tokens
@@ -157,7 +155,12 @@ def _fold(
             independent_sentences += count
         if metrics.cmi > 0:
             mixed += count
-        for column, value in enumerate(_summary(counts, metrics)):
+        summary = metrics.cmi, metrics.cf1, metrics.cf2, metrics.cf3, float(counts.total_tokens)
+        for column, value in enumerate(summary):
+            if value < low[column]:
+                low[column] = value
+            if value > high[column]:
+                high[column] = value
             numerator, denominator = value.as_integer_ratio()  # denominator is 2**k, k <= 1074
             sums[column] += count * numerator << 1075 - denominator.bit_length()
 
@@ -167,17 +170,11 @@ def _fold(
         if entry is not None:
             entry[1] += 1
         else:
-            metrics = metrics_from_counts(counts, config)
-            entry = [(counts, metrics), 1]
-            for column, value in enumerate(_summary(counts, metrics)):
-                if value < low[column]:
-                    low[column] = value
-                if value > high[column]:
-                    high[column] = value
+            entry = [(counts, metrics_from_counts(counts, config)), 1]
             if len(memo) < _MEMO_SIZE:
                 memo[counts] = entry
             else:
-                add(entry)
+                add(entry, late_low, late_high)
         for code, words in per_language.items():
             word_counts[code] = word_counts.get(code, 0) + words
             sentence_counts[code] = sentence_counts.get(code, 0) + 1
@@ -187,7 +184,9 @@ def _fold(
     if not sentences:
         raise ValueError("empty corpus")
     for entry in memo.values():
-        add(entry)
+        add(entry, low, high)
+    low = [late if late < value else value for value, late in zip(low, late_low)]
+    high = [late if late > value else value for value, late in zip(high, late_high)]
     distribution = [
         LanguageDistributionRow(
             language=code,

@@ -606,9 +606,11 @@ summary_floats = st.sampled_from([5e-324, -5e-324, 0.0, -0.0, 1 / 3, 1e300, -1e3
     st.lists(summary_floats, min_size=1, max_size=6),
     st.integers(0, 2**32),
 )
-# Signed zeros past the memo cap: 0.0 comes first, so the min (then the max) is 0.0, not a later -0.0.
+# Signed zeros, where min or max is the zero seen first: across the memo cap (the min, then the max),
+# and among remembered signatures (both).
 @example(signatures=_MEMO_SIZE + 1, pool=[5e-324, -0.0, 5e-324], seed=3)
-@example(signatures=_MEMO_SIZE + 1, pool=[-5e-324, 0.0, -0.0], seed=3)
+@example(signatures=_MEMO_SIZE + 1, pool=[-5e-324, 0.0, -0.0], seed=0)
+@example(signatures=8, pool=[0.0, -0.0, 5e-324], seed=0)
 def test_streamed_summary_equals_fmean_min_max(signatures, pool, seed):
     # (value, count) pairs: one signature per value, with every index equal to
     # it, and count sentences that have it, shuffled into one corpus.
