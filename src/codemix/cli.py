@@ -15,7 +15,15 @@ gone; a failing stderr changes neither stdout nor the exit status.
 
 A run loads only the chosen subcommand's code: each handler imports the
 modules it uses, and each subcommand's parser adds its arguments when it
-parses (see _Parser).
+parses (see _Parser). Help is wrapped to the terminal's width as argparse
+wraps it, without the shutil that argparse imports for it.
+
+A read command walks each token once: the scanner counts it as it reads it,
+and the fold takes the counts (see _report). `codemix` and `python -m
+codemix.cli` end through run(), which freezes the heap once main() returns,
+so the collections that run while the interpreter exits skip every object;
+each is still freed by its reference count. main() freezes nothing, so an
+in-process caller's heap is left alone.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import gc
 import os
 import sys
 from collections.abc import Callable, Iterable
@@ -53,14 +62,39 @@ def _complain(message: str, kind: str = "warning") -> None:
         _write(2, (f"{kind}: {message}\n",))
 
 
+def _terminal_width() -> int:
+    """The columns that shutil.get_terminal_size() gives: a positive COLUMNS, else the terminal of sys.__stdout__,
+    else 80."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns > 0:
+        return columns
+    try:
+        columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+    except (AttributeError, ValueError, OSError):  # no stdout, or one that is closed, detached or not a terminal
+        columns = 0
+    return columns or 80
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's formatter at the width it would use, 2 less than the terminal's, without importing shutil."""
+
+    def __init__(self, prog: str, indent_increment: int = 2, max_help_position: int = 24, width: int | None = None):
+        super().__init__(prog, indent_increment, max_help_position, _terminal_width() - 2 if width is None else width)
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose help, usage and error messages go through _write, as UTF-8, like all other output.
 
     A subcommand's parser takes add_arguments, which adds its arguments the first time it parses, so a run
-    adds only the arguments, and imports only the modules, of the subcommand it runs.
+    adds only the arguments, and imports only the modules, of the subcommand it runs. Every parser formats
+    with _HelpFormatter unless it is given another formatter_class.
     """
 
     def __init__(self, *args: object, add_arguments: Callable[[_Parser], None] | None = None, **kwargs: object):
+        kwargs.setdefault("formatter_class", _HelpFormatter)
         super().__init__(*args, **kwargs)
         self._add_arguments = add_arguments
 
@@ -122,14 +156,16 @@ def _report(
     """Read, scan, count and fold one corpus (`-` is stdin) a line at a time; every failure and warning names the file.
 
     The report is aggregate(parse_*_format(text)) without building a token,
-    and without per_sentence unless asked. Its per-sentence pairs are the
-    fold's, one per signature, as aggregate's are. Rows are formatted after
-    the fold, but for parsed input that cannot fail, as MetricConfig keeps
-    every index finite, so a command that fails still writes nothing.
-    Without a config, the indices use the default weights.
+    and without per_sentence unless asked. The scanner counts each token as
+    it reads it and hands the fold each sentence's counts, as _count_tags
+    gives them, so no tag list is built or walked again. Its per-sentence
+    pairs are the fold's, one per signature, as aggregate's are. Rows are
+    formatted after the fold, but for parsed input that cannot fail, as
+    MetricConfig keeps every index finite, so a command that fails still
+    writes nothing. Without a config, the indices use the default weights.
     """
     from .corpus_io import _read_lines, _scan_column, _scan_inline, _Tags
-    from .metrics import DEFAULT_CONFIG, _count_tags
+    from .metrics import DEFAULT_CONFIG
     from .stats import _fold
 
     if config is None:
@@ -140,7 +176,7 @@ def _report(
         if path == "-" and sys.stdin is None:  # fd 0 was closed when the interpreter started
             raise ValueError("standard input is closed")
         with contextlib.nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as binary:
-            counted = (_count_tags(sentence) for _, sentence in scan(_read_lines(binary), tags, path, _complain))
+            counted = scan(_read_lines(binary), tags, path, _complain, count=True)
             return _fold(_stem(path), counted, config, per_sentence)
     except OSError as exc:
         raise ValueError(f"{path}: {exc.strerror or exc}") from exc
@@ -321,5 +357,19 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def run() -> int:
+    """main() for a process that ends with it, the console script's and `python -m codemix.cli`'s entry.
+
+    Once main() has returned, the heap is frozen: the collections that the
+    interpreter runs while it exits then skip every object, which is still
+    freed by its reference count. That saves the exit's collections, a few
+    milliseconds per run, and changes no output, exit status or atexit
+    handler.
+    """
+    status = main()
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -25,6 +25,7 @@ import itertools
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
 
+from .metrics import SentenceCounts
 from .model import Corpus, LanguageTag, Sentence, UndefinedReason
 
 # The nine languages of the multilingual reference corpus this tool was
@@ -129,7 +130,8 @@ class _Tags(dict):
         return tag
 
 
-_Scan = Iterator[tuple[list[str], list[LanguageTag]]]
+# A scanner yields each sentence's surfaces and tags, or with count=True, the (counts, {code: count}) of _count_tags.
+_Scan = Iterator[tuple[list[str], list[LanguageTag]] | tuple[SentenceCounts, dict[str, int]]]
 _Warn = Callable[[str], None]
 
 
@@ -182,28 +184,43 @@ def _decode_error(exc: UnicodeDecodeError, base: int) -> str:
     return f"'{exc.encoding}' codec can't decode {where}: {exc.reason}"
 
 
-def _scan_column(lines: Iterable[str], tags: _Tags, name: str, warn: _Warn = _log_warning) -> _Scan:
-    """The surfaces and tags of each COLUMN sentence; every check of the format happens here.
+def _scan_column(
+    lines: Iterable[str], tags: _Tags, name: str, warn: _Warn = _log_warning, *, count: bool = False
+) -> _Scan:
+    """Each COLUMN sentence's surfaces and tags, or with count its _count_tags pair; every format check is here.
 
     Only LF ends a line, and a line's trailing CRs are dropped. Blank lines
     after the last sentence are neither sentences nor skipped. Skipped empty
     sentences are counted and passed to warn once, after the last line.
+    With count, each token is counted as it is read, into its sentence's
+    (counts, {code: count}), and no surface or tag is kept.
     """
     skipped = 0
-    closed_at = lineno = 0  # the blank line that closed the last sentence, and the last line
+    closed_at = blank = lineno = 0  # the blank line that closed the last sentence, the last blank line, the last line
     surfaces: list[str] = []
     sentence: list[LanguageTag] = []
+    per_language: dict[str, int] = {}
+    undefined = switches = 0
+    previous: str | None = None
     for lineno, line in enumerate(lines, start=1):
         has_cr = "\r" in line  # a surface can hold a CR only if its line does
         if has_cr:
             line = line.rstrip("\r")
         if not line:
-            if sentence:
-                yield surfaces, sentence
-                surfaces, sentence = [], []
-                closed_at = lineno
+            if sentence or per_language or undefined:  # the open sentence has a token, kept or counted
+                if count:
+                    total = lineno - blank - 1  # each line since the last blank one holds a token
+                    dominant = max(per_language.values()) if per_language else 0
+                    counts = (total, undefined, total - undefined, len(per_language), dominant, switches)
+                    yield tuple.__new__(SentenceCounts, counts), per_language
+                    per_language, undefined, switches, previous = {}, 0, 0, None
+                else:
+                    yield surfaces, sentence
+                    surfaces, sentence = [], []
+                closed_at = blank = lineno
             else:
                 skipped += 1
+                blank = lineno
             continue
         fields = line.split("\t")
         if len(fields) != 2:
@@ -212,13 +229,29 @@ def _scan_column(lines: Iterable[str], tags: _Tags, name: str, warn: _Warn = _lo
         if not surface or not raw:
             raise ParseError(lineno, "missing tag field" if surface else "empty surface")
         try:
-            sentence.append(tags[raw])
+            tag = tags[raw]
         except ValueError as exc:  # unknown or malformed tag
             raise ParseError(lineno, str(exc)) from exc
         if has_cr and "\r" in surface:
             raise ParseError(lineno, f"token surface contains tab/newline: {surface!r}")
-        surfaces.append(surface)
-    if sentence:
+        if not count:
+            surfaces.append(surface)
+            sentence.append(tag)
+            continue
+        code = tag.code  # counted as _count_tags counts
+        if code is None:
+            undefined += 1
+            continue
+        per_language[code] = per_language.get(code, 0) + 1
+        if code != previous and previous is not None:
+            switches += 1
+        previous = code
+    if count and (per_language or undefined):
+        total = lineno - blank
+        dominant = max(per_language.values()) if per_language else 0
+        counts = (total, undefined, total - undefined, len(per_language), dominant, switches)
+        yield tuple.__new__(SentenceCounts, counts), per_language
+    elif sentence:
         yield surfaces, sentence
     else:
         skipped -= lineno - closed_at  # every line after closed_at is blank, and was counted
@@ -226,21 +259,27 @@ def _scan_column(lines: Iterable[str], tags: _Tags, name: str, warn: _Warn = _lo
         warn(f"{name or '<column stream>'}: skipped {skipped} empty sentence(s)")
 
 
-def _scan_inline(lines: Iterable[str], tags: _Tags, name: str, warn: _Warn = _log_warning) -> _Scan:
-    """The surfaces and tags of each INLINE sentence; every check of the format happens here.
+def _scan_inline(
+    lines: Iterable[str], tags: _Tags, name: str, warn: _Warn = _log_warning, *, count: bool = False
+) -> _Scan:
+    """Each INLINE sentence's surfaces and tags, or with count its _count_tags pair; every format check is here.
 
     Lines end as in _scan_column, and blank lines after the last sentence are not skipped sentences.
+    With count, each token is counted as it is read, as in _scan_column.
     """
     skipped = 0
     last = lineno = 0  # the last sentence's line, and the last line
+    surfaces: list[str] = []
+    sentence: list[LanguageTag] = []
+    per_language: dict[str, int] = {}
+    undefined = switches = 0
+    previous: str | None = None
     for lineno, line in enumerate(lines, start=1):
         if "\r" in line:
             line = line.rstrip("\r")
         if not line:
             skipped += 1
             continue
-        surfaces: list[str] = []
-        sentence: list[LanguageTag] = []
         unsafe = "\t" in line or "\r" in line  # only then can a surface hold one
         for position, chunk in enumerate(line.split(" "), start=1):
             surface, slash, raw = chunk.rpartition("/")
@@ -249,14 +288,32 @@ def _scan_inline(lines: Iterable[str], tags: _Tags, name: str, warn: _Warn = _lo
                     raise ValueError(f"missing '/' separator in {chunk!r}")
                 if not surface:
                     raise ValueError("empty surface")
-                sentence.append(tags[raw])
+                tag = tags[raw]
                 if unsafe and ("\t" in surface or "\r" in surface):
                     raise ValueError(f"token surface contains tab/newline: {surface!r}")
             except ValueError as exc:
                 raise ParseError(lineno, f"token {position}: {exc}") from exc
-            surfaces.append(surface)
+            if not count:
+                surfaces.append(surface)
+                sentence.append(tag)
+                continue
+            code = tag.code  # counted as _count_tags counts
+            if code is None:
+                undefined += 1
+                continue
+            per_language[code] = per_language.get(code, 0) + 1
+            if code != previous and previous is not None:
+                switches += 1
+            previous = code
         last = lineno
-        yield surfaces, sentence
+        if count:
+            dominant = max(per_language.values()) if per_language else 0
+            counts = (position, undefined, position - undefined, len(per_language), dominant, switches)
+            yield tuple.__new__(SentenceCounts, counts), per_language  # position is the last token's: the count
+            per_language, undefined, switches, previous = {}, 0, 0, None
+        else:
+            yield surfaces, sentence
+            surfaces, sentence = [], []
     skipped -= lineno - last  # every line after the last sentence is blank, and was counted
     if skipped:
         warn(f"{name or '<inline stream>'}: skipped {skipped} empty sentence(s)")

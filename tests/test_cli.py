@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import argparse
 import gc
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -19,6 +21,7 @@ from codemix import (
     scatter_data,
     write_corpus,
 )
+from codemix import cli
 from codemix.cli import main
 from codemix.render import (
     _report_json_pieces,
@@ -502,6 +505,7 @@ class TestStartup:
         assert (cli - bare) & {"dataclasses", "inspect", "logging", "ast", "dis", "tokenize"} == set()
 
     # Each subcommand with the modules it must not load, beside those no subcommand loads.
+    _MODULES = {"json", "codemix.corpus_io", "codemix.model", "codemix.metrics", "codemix.stats", "codemix.render"}
     _ABSENT = {
         "analyze_json": (["analyze", "{case6}", "--per-sentence"], set()),
         "analyze_csv": (["analyze", "{case6}", "--out", "csv"], {"json"}),
@@ -509,9 +513,9 @@ class TestStartup:
         "compare": (["compare", "{case6}", "{synth7}"], set()),
         "plot_csv": (["plot", "{case6}", "--index", "cf2", "--csv", "{plot}"], {"json"}),
         "generate": (
-            ["generate", "--sentences", "5", "--words", "3", "--languages", "2", "--arrangement", "random"],
-            {"json", "codemix.corpus_io", "codemix.model", "codemix.metrics", "codemix.stats", "codemix.render"},
+            ["generate", "--sentences", "5", "--words", "3", "--languages", "2", "--arrangement", "random"], _MODULES
         ),
+        "help": (["analyze", "--help"], _MODULES),
     }
 
     @pytest.mark.parametrize("name", sorted(_ABSENT))
@@ -527,9 +531,38 @@ class TestStartup:
         lines = done.stderr.decode().splitlines()
         loaded = {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
         assert "codemix" in loaded
-        assert loaded & {"typing", "dataclasses", "inspect", "logging", "pathlib", *absent} == set()
+        assert loaded & {"typing", "dataclasses", "inspect", "logging", "pathlib", "shutil", *absent} == set()
         if name == "generate":
             assert {module for module in loaded if module.startswith("codemix")} == {"codemix", "codemix.synth"}
+
+
+class TestEntry:
+    """run(), the entry of `codemix` and `python -m codemix.cli`, freezes the heap after main(); main() does not."""
+
+    def test_main_leaves_the_heap_unfrozen_and_run_freezes_it(self, capsys, monkeypatch):
+        argv = ["stats", str(FIXTURES / "case6.tags")]
+        frozen = gc.get_freeze_count()
+        assert main(argv) == 0
+        assert gc.get_freeze_count() == frozen
+        monkeypatch.setattr(sys, "argv", ["codemix", *argv])
+        try:
+            assert cli.run() == 0
+            assert gc.get_freeze_count() > frozen
+        finally:
+            gc.unfreeze()
+        assert capsys.readouterr().out == 2 * (GOLDEN / "case6.stats.txt").read_text(encoding="utf-8")
+
+    def test_a_child_prints_what_main_prints_past_a_pipe_buffer(self, capsys, tmp_path):
+        path = tmp_path / "corpus.tags"
+        code, text, _ = run(capsys, "generate", "--sentences", "5000", "--words", "3:12", "--languages", "3",
+                            "--arrangement", "random", "--undefined-ratio", "0.2", "--seed", "11")
+        assert code == 0
+        path.write_text(text, encoding="utf-8")
+        argv = ["analyze", str(path), "--per-sentence"]
+        code, expected, _ = run(capsys, *argv)
+        assert code == 0 and len(expected) > 1 << 20  # far past a 64 KiB pipe buffer
+        done = _run_child(argv)
+        assert (done.returncode, done.stderr.decode(), done.stdout) == (0, "", expected.encode("utf-8"))
 
 
 class TestClosedPipe:
@@ -668,6 +701,10 @@ _HELP_ENCODINGS = pytest.mark.parametrize(
 )
 
 
+def _not_a_terminal(fd: int) -> os.terminal_size:
+    raise OSError(25, "Inappropriate ioctl for device")
+
+
 class TestHelpBytes:
     """The help and usage text is pinned to tests/golden/help/, at a terminal width of 80 columns, as UTF-8."""
 
@@ -692,6 +729,40 @@ class TestHelpBytes:
             pytest.skip("this system has no /dev/full")
         done = _run_child(["analyze"], redirect=redirect)
         assert (done.returncode, done.stdout) == (2, b"")
+
+    @pytest.mark.parametrize("columns", ["40", "100", "200"])
+    @pytest.mark.parametrize("command", ["codemix", "analyze", "stats", "compare", "plot", "generate"])
+    def test_help_wraps_as_argparse_own_formatter_wraps_it(self, capsys, monkeypatch, command, columns):
+        monkeypatch.setenv("COLUMNS", columns)
+        argv = ["--help"] if command == "codemix" else [command, "--help"]
+        helps = []
+        for formatter in (cli._HelpFormatter, argparse.HelpFormatter):
+            monkeypatch.setattr(cli, "_HelpFormatter", formatter)
+            with pytest.raises(SystemExit) as exit_:
+                main(argv)
+            assert exit_.value.code == 0
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1]
+
+    @pytest.mark.parametrize(
+        "columns, terminal",
+        [("40", None), ("200", (123, 40)), ("0", (123, 40)), ("-3", (0, 0)), ("x", "none"), (None, (97, 0)),
+         (None, OSError), (None, None)],
+        ids=["columns", "columns-over-terminal", "zero-columns", "negative-columns-zero-terminal",
+             "bad-columns-no-stdout", "terminal", "not-a-terminal", "this-stdout"],
+    )
+    def test_terminal_width_is_what_shutil_gives(self, monkeypatch, columns, terminal):
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        if terminal == "none":  # stdout was closed when the interpreter started
+            monkeypatch.setattr(sys, "__stdout__", None)
+        elif terminal is OSError:  # stdout is not a terminal
+            monkeypatch.setattr(os, "get_terminal_size", _not_a_terminal)
+        elif terminal is not None:
+            monkeypatch.setattr(os, "get_terminal_size", lambda fd: os.terminal_size(terminal))
+        assert cli._terminal_width() == shutil.get_terminal_size().columns
 
     def test_an_invalid_choice_is_printed_as_utf8(self):
         done = _run_child(["analyze", "x", "--format", "नहीं"], _locale_env(COLUMNS="80", PYTHONIOENCODING="ascii"))

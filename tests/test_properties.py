@@ -41,7 +41,7 @@ from codemix import (
     write_corpus,
 )
 from codemix import cli, corpus_io
-from codemix.metrics import _arctan_divisor, _linear_divisor
+from codemix.metrics import _arctan_divisor, _count_tags, _linear_divisor
 from codemix.stats import _MEMO_SIZE, INDEPENDENT_LABEL, INDEX_NAMES, CorpusComparison, IndexComparison, _fold
 from codemix.render import (
     _CSV_HEADER,
@@ -365,6 +365,36 @@ def test_parsers_return_corpus_or_raise_parse_error(text, policy):
             assert isinstance(parser(text, policy), Corpus)
         except ParseError:
             pass
+
+
+def _scan(scan, text: str, policy: TagPolicy, count: bool) -> tuple[list, tuple[int, str] | None, list[str]]:
+    """What a scanner yields for text, before the line and message of the ParseError it raises, if any, and its
+    warnings."""
+    yielded, warnings = [], []
+    try:
+        for item in scan(text.split("\n"), corpus_io._Tags(policy), "fuzz", warnings.append, count=count):
+            yielded.append(item)
+    except ParseError as exc:
+        return yielded, (exc.line, str(exc)), warnings
+    return yielded, None, warnings
+
+
+@settings(max_examples=1000, deadline=None)
+@given(fuzz_text, st.sampled_from(list(UnknownTagAction)))
+@example("a\tEN\nb\tNE\nc\tbn\nd\tEN\ne\tEN\n\n\nf\tQQ\ng\tL2\n", UnknownTagAction.TREAT_UNDEFINED)
+@example("a/EN b/NE c/bn d/EN e/EN\n\nf/QQ g/L2 h/L2\na/X\n", UnknownTagAction.TREAT_UNDEFINED)
+@example("a\tEN\nb\tbn\n\nc\tQQ\n", UnknownTagAction.ERROR)
+def test_counting_scanners_yield_count_tags_of_the_kept_tags(text, action):
+    policy = TagPolicy(unknown_tag_action=action)
+    for scan in (corpus_io._scan_column, corpus_io._scan_inline):
+        kept, kept_error, kept_warnings = _scan(scan, text, policy, count=False)
+        counted, error, warnings = _scan(scan, text, policy, count=True)
+        expected = [_count_tags(tags) for _, tags in kept]
+        assert all(type(counts) is SentenceCounts for counts, _ in counted)
+        assert [(counts, list(codes.items())) for counts, codes in counted] == [
+            (counts, list(codes.items())) for counts, codes in expected
+        ]
+        assert (error, warnings) == (kept_error, kept_warnings)
 
 
 def _stats_text(report: CorpusReport) -> str:
