@@ -19,11 +19,11 @@ parses (see _Parser). Help is wrapped to the terminal's width as argparse
 wraps it, without the shutil that argparse imports for it.
 
 A read command walks each token once: the scanner counts it as it reads it,
-and the fold takes the counts (see _report). `codemix` and `python -m
-codemix.cli` end through run(), which freezes the heap once main() returns,
-so the collections that run while the interpreter exits skip every object;
-each is still freed by its reference count. main() freezes nothing, so an
-in-process caller's heap is left alone.
+and hands the fold each sentence's tally (see _report). `codemix` and
+`python -m codemix.cli` end through run(), which freezes the heap once
+main() returns, so the collections that run while the interpreter exits
+skip every object; each is still freed by its reference count. main()
+freezes nothing, so an in-process caller's heap is left alone.
 """
 
 from __future__ import annotations
@@ -157,9 +157,10 @@ def _report(
 
     The report is aggregate(parse_*_format(text)) without building a token,
     and without per_sentence unless asked. The scanner counts each token as
-    it reads it and hands the fold each sentence's counts, as _count_tags
-    gives them, so no tag list is built or walked again. Its per-sentence
-    pairs are the fold's, one per signature, as aggregate's are. Rows are
+    it reads it and hands the fold each sentence's tally, (W, u, S,
+    {code: count}) as _count_tags gives it, so no tag list is built or
+    walked again; the fold builds the counts. Its per-sentence pairs are
+    the fold's, one per signature, as aggregate's are. Rows are
     formatted after the fold, but for parsed input that cannot fail, as
     MetricConfig keeps every index finite, so a command that fails still
     writes nothing. Without a config, the indices use the default weights.

@@ -25,7 +25,6 @@ import itertools
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
 
-from .metrics import SentenceCounts
 from .model import Corpus, LanguageTag, Sentence, UndefinedReason
 
 # The nine languages of the multilingual reference corpus this tool was
@@ -130,8 +129,8 @@ class _Tags(dict):
         return tag
 
 
-# A scanner yields each sentence's surfaces and tags, or with count=True, the (counts, {code: count}) of _count_tags.
-_Scan = Iterator[tuple[list[str], list[LanguageTag]] | tuple[SentenceCounts, dict[str, int]]]
+# A scanner yields each sentence's surfaces and tags, or with count=True, its tally (W, u, S, {code: count}).
+_Scan = Iterator[tuple[list[str], list[LanguageTag]] | tuple[int, int, int, dict[str, int]]]
 _Warn = Callable[[str], None]
 
 
@@ -187,13 +186,13 @@ def _decode_error(exc: UnicodeDecodeError, base: int) -> str:
 def _scan_column(
     lines: Iterable[str], tags: _Tags, name: str, warn: _Warn = _log_warning, *, count: bool = False
 ) -> _Scan:
-    """Each COLUMN sentence's surfaces and tags, or with count its _count_tags pair; every format check is here.
+    """Each COLUMN sentence's surfaces and tags, or with count its _count_tags tally; every format check is here.
 
     Only LF ends a line, and a line's trailing CRs are dropped. Blank lines
     after the last sentence are neither sentences nor skipped. Skipped empty
     sentences are counted and passed to warn once, after the last line.
     With count, each token is counted as it is read, into its sentence's
-    (counts, {code: count}), and no surface or tag is kept.
+    tally (W, u, S, {code: count}), and no surface or tag is kept.
     """
     skipped = 0
     closed_at = blank = lineno = 0  # the blank line that closed the last sentence, the last blank line, the last line
@@ -208,11 +207,8 @@ def _scan_column(
             line = line.rstrip("\r")
         if not line:
             if sentence or per_language or undefined:  # the open sentence has a token, kept or counted
-                if count:
-                    total = lineno - blank - 1  # each line since the last blank one holds a token
-                    dominant = max(per_language.values()) if per_language else 0
-                    counts = (total, undefined, total - undefined, len(per_language), dominant, switches)
-                    yield tuple.__new__(SentenceCounts, counts), per_language
+                if count:  # each line since the last blank one holds a token
+                    yield lineno - blank - 1, undefined, switches, per_language
                     per_language, undefined, switches, previous = {}, 0, 0, None
                 else:
                     yield surfaces, sentence
@@ -247,10 +243,7 @@ def _scan_column(
             switches += 1
         previous = code
     if count and (per_language or undefined):
-        total = lineno - blank
-        dominant = max(per_language.values()) if per_language else 0
-        counts = (total, undefined, total - undefined, len(per_language), dominant, switches)
-        yield tuple.__new__(SentenceCounts, counts), per_language
+        yield lineno - blank, undefined, switches, per_language
     elif sentence:
         yield surfaces, sentence
     else:
@@ -262,7 +255,7 @@ def _scan_column(
 def _scan_inline(
     lines: Iterable[str], tags: _Tags, name: str, warn: _Warn = _log_warning, *, count: bool = False
 ) -> _Scan:
-    """Each INLINE sentence's surfaces and tags, or with count its _count_tags pair; every format check is here.
+    """Each INLINE sentence's surfaces and tags, or with count its _count_tags tally; every format check is here.
 
     Lines end as in _scan_column, and blank lines after the last sentence are not skipped sentences.
     With count, each token is counted as it is read, as in _scan_column.
@@ -307,9 +300,7 @@ def _scan_inline(
             previous = code
         last = lineno
         if count:
-            dominant = max(per_language.values()) if per_language else 0
-            counts = (position, undefined, position - undefined, len(per_language), dominant, switches)
-            yield tuple.__new__(SentenceCounts, counts), per_language  # position is the last token's: the count
+            yield position, undefined, switches, per_language  # position is the last token's: the count
             per_language, undefined, switches, previous = {}, 0, 0, None
         else:
             yield surfaces, sentence

@@ -66,9 +66,11 @@ class SentenceCounts(namedtuple("SentenceCounts", (
 
     The counts are the sentence's signature: every index is a function of
     them, so equal counts are equal, hashable values with equal metrics.
-    language_count and dominant_count follow from the per-language counts,
-    which _count_tags returns beside these, but the corpus fold reads both for
-    every sentence, so they are stored rather than worked out there. The
+    A counter (_count_tags, or a scanner with count=True) hands on only a
+    sentence's tally, (W, u, S, {code: count}), and knows none of these
+    fields; the rest follow from it. A tally becomes counts in two places:
+    count_sentence, and stats._fold's loop, which builds them inline, as a
+    call per sentence made the CLI on short sentences 2-5% slower. The
     lengths of the language runs are not kept: no index reads them.
     """
 
@@ -85,11 +87,15 @@ class SentenceMetrics(
 
 def count_sentence(sentence: Sentence) -> SentenceCounts:
     """Tally tokens, languages and switch points for one sentence."""
-    return _count_tags(sentence.tags)[0]
+    total, undefined, switches, per_language = _count_tags(sentence.tags)
+    dominant = max(per_language.values()) if per_language else 0
+    # tuple.__new__, in field order: SentenceCounts' own __new__ is a Python-level call, with which counting a
+    # sentence of a few tokens took 40% longer; these counts need no check.
+    return tuple.__new__(SentenceCounts, (total, undefined, total - undefined, len(per_language), dominant, switches))
 
 
-def _count_tags(tags: Sequence[LanguageTag]) -> tuple[SentenceCounts, dict[str, int]]:
-    """The counting summary of one sentence's tags, in token order, and its {code: count}."""
+def _count_tags(tags: Sequence[LanguageTag]) -> tuple[int, int, int, dict[str, int]]:
+    """The tally of one sentence's tags, in token order: W, u, S and its {code: count}."""
     per_language: dict[str, int] = {}
     undefined = 0
     switches = 0
@@ -103,12 +109,7 @@ def _count_tags(tags: Sequence[LanguageTag]) -> tuple[SentenceCounts, dict[str, 
         if code != previous_code and previous_code is not None:
             switches += 1
         previous_code = code
-    total = len(tags)
-    # tuple.__new__, in field order: SentenceCounts' own __new__ is a Python-level call, with which counting a
-    # sentence of a few tokens took 40% longer; these counts need no check.
-    dominant = max(per_language.values()) if per_language else 0
-    counts = tuple.__new__(SentenceCounts, (total, undefined, total - undefined, len(per_language), dominant, switches))
-    return counts, per_language
+    return len(tags), undefined, switches, per_language
 
 
 def _linear_divisor(lf: float, total_tokens: int) -> float:
@@ -145,7 +146,7 @@ def metrics_from_counts(counts: SentenceCounts, config: MetricConfig = DEFAULT_C
         cf1 = numerator / lf
         cf2 = numerator / _linear_divisor(lf, total)
         cf3 = numerator / _arctan_divisor(lf)
-    return tuple.__new__(SentenceMetrics, (lf, sf, mf, cmi, cf1, cf2, cf3))  # as _count_tags builds its counts
+    return tuple.__new__(SentenceMetrics, (lf, sf, mf, cmi, cf1, cf2, cf3))  # as count_sentence builds its counts
 
 
 def analyze_sentence(sentence: Sentence, config: MetricConfig = DEFAULT_CONFIG) -> SentenceMetrics:

@@ -25,10 +25,10 @@ Randomness comes from xoshiro256** seeded with splitmix64, so the exact
 output stream is reproducible from the seed alone, independent of the host
 RNG. Uniform draws below a bound use rejection sampling (no modulo bias).
 The stream is one generator that keeps the four state words in its locals;
-Xoshiro256StarStar's next_u64 and below draw from it, and RANDOM takes a
-sentence's tags from it in one islice of the draws under the rejection
-threshold. Every draw, and so every generated byte, is what the same seed
-gave when the state was a list updated one method call per draw.
+_below draws a sentence's length from it, and RANDOM takes a sentence's
+tags from it in one islice of the draws under the rejection threshold.
+Every draw, and so every generated byte, is what the same seed gave when
+the state was a list updated one method call per draw.
 
 This module imports corpus_io and model only inside generate(), so
 `codemix generate`, which prints text, loads neither.
@@ -87,18 +87,9 @@ def _threshold(bound: int) -> int:
     return (1 << 64) - ((1 << 64) % bound)
 
 
-class Xoshiro256StarStar:
-    """xoshiro256** with splitmix64 state expansion from a 64-bit seed; outputs is its stream, which it draws from."""
-
-    def __init__(self, seed: int):
-        self.outputs = _xoshiro_outputs(seed)
-
-    def next_u64(self) -> int:
-        return next(self.outputs)
-
-    def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound), for 0 < bound <= 2**64."""
-        return next(filter(_threshold(bound).__gt__, self.outputs)) % bound
+def _below(outputs: Iterator[int], bound: int) -> int:
+    """A uniform integer in [0, bound), for 0 < bound <= 2**64, from the draws of a stream."""
+    return next(filter(_threshold(bound).__gt__, outputs)) % bound
 
 
 class Arrangement(enum.Enum):
@@ -167,14 +158,14 @@ def _undefined_positions(total: int, count: int) -> set[int]:
     return {((i + 1) * total) // (count + 1) for i in range(count)}
 
 
-def _language_pattern(tagged: int, languages: int, arrangement: Arrangement, rng: Xoshiro256StarStar) -> list[int]:
+def _language_pattern(tagged: int, languages: int, arrangement: Arrangement, outputs: Iterator[int]) -> list[int]:
     if arrangement is Arrangement.ALTERNATING:
         return [i % languages for i in range(tagged)]
     if arrangement is Arrangement.BLOCKED:
         block = -(-tagged // languages)  # ceil
         return [min(i // block, languages - 1) for i in range(tagged)]
-    # below(languages) per tag, the threshold worked out once
-    draws = itertools.islice(filter(_threshold(languages).__gt__, rng.outputs), tagged)
+    # _below(outputs, languages) per tag, the threshold worked out once
+    draws = itertools.islice(filter(_threshold(languages).__gt__, outputs), tagged)
     return [draw % languages for draw in draws]
 
 
@@ -191,21 +182,21 @@ def _column_text(spec: GenSpec) -> Iterator[str]:
     built once and yielded again, as the same object, for a repeat, while the table stays
     within _TABLE_BUDGET.
     """
-    rng = Xoshiro256StarStar(spec.seed)
+    outputs = _xoshiro_outputs(spec.seed)
     lo, hi = spec.word_range
     ends = [f"L{i + 1}\n" for i in range(spec.language_count)]
     heads: list[str] = []  # grown to the longest sentence drawn so far, not to hi
     texts: dict[int, str] = {}  # one per length; RANDOM draws each tag, so it keeps none
     budget = 0 if spec.arrangement is Arrangement.RANDOM else _TABLE_BUDGET
     for _ in range(spec.sentence_count):
-        total = lo if lo == hi else lo + rng.below(hi - lo + 1)
+        total = lo if lo == hi else lo + _below(outputs, hi - lo + 1)
         if total in texts:
             yield texts[total]
             continue
         if len(heads) < total:
             heads.extend([f"w{position}\t" for position in range(len(heads), total)])
         u = min(int(spec.undefined_ratio * total + 1e-9), total - 1)
-        line_ends = [ends[i] for i in _language_pattern(total - u, spec.language_count, spec.arrangement, rng)]
+        line_ends = [ends[i] for i in _language_pattern(total - u, spec.language_count, spec.arrangement, outputs)]
         if u:  # one pass, O(total): an insert per hole is quadratic, and a slice per run of tags slower at high ratios
             holes, tag = _undefined_positions(total, u), iter(line_ends).__next__
             line_ends = ["UN\n" if position in holes else tag() for position in range(total)]

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import logging
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -160,6 +163,23 @@ class TestInlineParsing:
     def test_one_sentence_per_line(self):
         corpus = parse_inline_format("a/EN b/BN\nc/HI\n")
         assert [len(s) for s in corpus.sentences] == [2, 1]
+
+
+class TestImports:
+    def test_parsers_on_a_bare_interpreter_load_only_the_reader_and_the_model(self):
+        # Under -S, site imports nothing, so every codemix module in the child is the parsers' doing.
+        script = (
+            "import sys, codemix\n"
+            "column = codemix.parse_column_format('a\\tEN\\nb\\tHI\\n')\n"
+            "inline = codemix.parse_inline_format('a/EN\\n')\n"
+            "loaded = sorted(name for name in sys.modules if name.partition('.')[0] == 'codemix')\n"
+            "print(len(column), len(inline), *loaded)\n"
+        )
+        src = str(FIXTURES.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr.decode()
+        assert done.stdout.decode().split() == ["1", "1", "codemix", "codemix.corpus_io", "codemix.model"]
 
 
 class TestWriting:

@@ -390,9 +390,9 @@ def test_counting_scanners_yield_count_tags_of_the_kept_tags(text, action):
         kept, kept_error, kept_warnings = _scan(scan, text, policy, count=False)
         counted, error, warnings = _scan(scan, text, policy, count=True)
         expected = [_count_tags(tags) for _, tags in kept]
-        assert all(type(counts) is SentenceCounts for counts, _ in counted)
-        assert [(counts, list(codes.items())) for counts, codes in counted] == [
-            (counts, list(codes.items())) for counts, codes in expected
+        assert all(type(tally) is tuple and len(tally) == 4 and type(tally[3]) is dict for tally in counted)
+        assert [(*counts, list(codes.items())) for *counts, codes in counted] == [
+            (*counts, list(codes.items())) for *counts, codes in expected
         ]
         assert (error, warnings) == (kept_error, kept_warnings)
 
@@ -647,11 +647,7 @@ def test_streamed_summary_equals_fmean_min_max(signatures, pool, seed):
     rng = random.Random(seed)
     values = [rng.choice(pool) * (rng.random() if rng.random() < 0.5 else 1.0) for _ in range(signatures)]
     repeats = [rng.randint(4, 100) if rng.random() < 0.02 else rng.randint(1, 3) for _ in range(signatures)]
-    sentences = [
-        (counts, {"L1": 1})
-        for switches, count in enumerate(repeats)
-        for counts in [SentenceCounts(1, 0, 1, 1, 1, switches)] * count
-    ]
+    sentences = [(1, 0, switches, {"L1": 1}) for switches, count in enumerate(repeats) for _ in range(count)]
     rng.shuffle(sentences)
 
     def metrics(counts, _):
@@ -659,7 +655,7 @@ def test_streamed_summary_equals_fmean_min_max(signatures, pool, seed):
 
     with mock.patch("codemix.stats.metrics_from_counts", metrics):
         report = _fold("pairs", sentences, DEFAULT_CONFIG)
-    expanded = [values[counts.switch_count] for counts, _ in sentences]
+    expanded = [values[switches] for _, _, switches, _ in sentences]
     expected = [min(expanded).hex(), max(expanded).hex(), fmean(expanded).hex()]
     for index_name in INDEX_NAMES:
         row = report.summary_row(index_name)

@@ -150,12 +150,13 @@ def _counts(total: int, undefined: int, languages: int, dominant: int, switches:
     return SentenceCounts(total, undefined, total - undefined, languages, dominant, switches)
 
 
-def _counted(counts: SentenceCounts) -> tuple[SentenceCounts, dict[str, int]]:
-    """counts and a {code: count} that matches them, as stats._fold takes them."""
+def _counted(counts: SentenceCounts) -> tuple[int, int, int, dict[str, int]]:
+    """The tally of counts, with a {code: count} that matches them, as stats._fold takes it."""
     rest = [0] * (counts.language_count - 1)
     for i in range(counts.tagged_tokens - counts.dominant_count):
         rest[i % len(rest)] += 1
-    return counts, {f"L{i + 1}": words for i, words in enumerate([counts.dominant_count, *rest])}
+    per_language = {f"L{i + 1}": words for i, words in enumerate([counts.dominant_count, *rest])}
+    return counts.total_tokens, counts.undefined_tokens, counts.switch_count, per_language
 
 
 def _distinct_counts(count: int, seed: int) -> list[SentenceCounts]:
@@ -197,8 +198,8 @@ class TestSignatureMemo:
         remembered = set(list(dict.fromkeys(sentences))[:_MEMO_SIZE])
         first: dict[SentenceCounts, tuple] = {}
         for counts, pair in zip(sentences, pairs):
-            if counts not in first:
-                assert pair[0] is counts
+            if counts not in first:  # the fold builds each pair's counts from the sentence's tally
+                assert type(pair[0]) is SentenceCounts and pair[0] == counts
             if counts in remembered:
                 assert pair is first.setdefault(counts, pair)
         own = sum(counts not in remembered for counts in sentences)
@@ -217,7 +218,7 @@ class TestSignatureMemo:
         assert report.token_count == sum(counts.total_tokens for counts in sentences)
 
     def test_aggregate_shares_one_pair_among_sentences_with_equal_counts(self):
-        corpus = make_corpus([["EN", "HI"], ["BN", "TA"], ["EN", "HI"], ["EN", None]])
+        corpus = make_corpus([["EN", "HI"], ["BN", "TA"], ["EN", "HI"], ["EN", None], [None, None]])
         records = aggregate(corpus).per_sentence
         assert records[0] is records[1] is records[2]
         assert records[3] is not records[0]

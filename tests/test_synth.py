@@ -20,7 +20,7 @@ from codemix import (
 from codemix import synth
 from codemix.cli import main
 from codemix.corpus_io import parse_column_format
-from codemix.synth import Xoshiro256StarStar, _column_text
+from codemix.synth import _below, _column_text, _xoshiro_outputs
 from conftest import enumerate_small
 from naive_oracle import naive_column_text
 
@@ -213,49 +213,49 @@ class TestEnumerateSmall:
 
 class TestRng:
     def test_stream_is_deterministic(self):
-        a = Xoshiro256StarStar(123)
-        b = Xoshiro256StarStar(123)
-        assert [a.next_u64() for _ in range(8)] == [b.next_u64() for _ in range(8)]
+        a = _xoshiro_outputs(123)
+        b = _xoshiro_outputs(123)
+        assert [next(a) for _ in range(8)] == [next(b) for _ in range(8)]
 
     def test_outputs_fit_in_64_bits(self):
-        rng = Xoshiro256StarStar(5)
+        outputs = _xoshiro_outputs(5)
         for _ in range(100):
-            assert 0 <= rng.next_u64() < (1 << 64)
+            assert 0 <= next(outputs) < (1 << 64)
 
     def test_below_is_in_range_and_hits_all_values(self):
-        rng = Xoshiro256StarStar(2024)
-        draws = [rng.below(5) for _ in range(500)]
+        outputs = _xoshiro_outputs(2024)
+        draws = [_below(outputs, 5) for _ in range(500)]
         assert set(draws) == {0, 1, 2, 3, 4}
 
     def test_below_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            Xoshiro256StarStar(0).below(0)
+            _below(_xoshiro_outputs(0), 0)
 
     def test_below_rejects_a_bound_no_64_bit_draw_can_meet(self):
-        # A bound above 2**64 once left no draw under the rejection threshold, and below() never returned.
+        # A bound above 2**64 once left no draw under the rejection threshold, and _below() never returned.
         with pytest.raises(ValueError, match=r"^bound 18446744073709551617 exceeds 2\*\*64$"):
-            Xoshiro256StarStar(0).below(2**64 + 1)
-        assert 0 <= Xoshiro256StarStar(0).below(2**64) < 2**64
+            _below(_xoshiro_outputs(0), 2**64 + 1)
+        assert 0 <= _below(_xoshiro_outputs(0), 2**64) < 2**64
 
     def test_frozen_reference_stream(self):
         # Pinned so accidental algorithm changes are caught; the generated
         # corpus fixtures depend on this exact stream.
-        rng = Xoshiro256StarStar(42)
-        assert [rng.next_u64() for _ in range(3)] == [
+        outputs = _xoshiro_outputs(42)
+        assert [next(outputs) for _ in range(3)] == [
             1546998764402558742,
             6990951692964543102,
             12544586762248559009,
         ]
         for seed, output in ((0, 9098089192077192179), (42, 17210000535395598761), (2**64 - 1, 15683018422313792818)):
-            rng = Xoshiro256StarStar(seed)
-            assert [rng.next_u64() for _ in range(10_000)][-1] == output, seed
-        rng = Xoshiro256StarStar(3)
-        assert [rng.below(3) for _ in range(50)] == [
+            outputs = _xoshiro_outputs(seed)
+            assert [next(outputs) for _ in range(10_000)][-1] == output, seed
+        outputs = _xoshiro_outputs(3)
+        assert [_below(outputs, 3) for _ in range(50)] == [
             2, 1, 2, 1, 2, 2, 2, 2, 2, 2, 0, 1, 2, 0, 2, 0, 1, 0, 1, 1, 2, 0, 2, 2, 0,
             0, 1, 1, 0, 1, 0, 0, 1, 0, 1, 1, 2, 1, 0, 0, 1, 1, 2, 0, 2, 1, 2, 1, 1, 1,
         ]
-        rng = Xoshiro256StarStar(3)
-        assert [rng.below(27) for _ in range(50)] == [
+        outputs = _xoshiro_outputs(3)
+        assert [_below(outputs, 27) for _ in range(50)] == [
             2, 1, 5, 1, 17, 20, 5, 11, 2, 2, 6, 4, 14, 18, 20, 21, 13, 21, 4, 10, 11, 0, 11, 2, 12,
             3, 16, 7, 6, 7, 24, 6, 10, 24, 25, 4, 26, 16, 24, 15, 19, 22, 11, 15, 17, 1, 26, 1, 22, 16,
         ]
