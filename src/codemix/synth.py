@@ -27,8 +27,6 @@ RNG. Uniform draws below a bound use rejection sampling (no modulo bias).
 The stream is one generator that keeps the four state words in its locals;
 _below draws a sentence's length from it, and RANDOM takes a sentence's
 tags from it in one islice of the draws under the rejection threshold.
-Every draw, and so every generated byte, is what the same seed gave when
-the state was a list updated one method call per draw.
 
 This module imports corpus_io and model only inside generate(), so
 `codemix generate`, which prints text, loads neither.
@@ -214,25 +212,21 @@ def _column_text(spec: GenSpec) -> Iterator[str]:
 def generate(spec: GenSpec) -> Corpus:
     """The corpus a spec describes, parsed from its COLUMN text; deterministic for a fixed seed.
 
-    The text is scanned a sentence at a time, as the lines of each sentence's
-    text, which ends in an LF; the whole text is never held at once. Under
-    ALTERNATING and BLOCKED, each distinct text is scanned once and its Sentence reused.
+    Each sentence's text, which ends in an LF, is scanned on its own, unless it equals
+    the last text of its size in characters: then that text's Sentence is reused. At
+    most one text per size is kept, and the whole text is never held at once.
     """
-    from .corpus_io import DEFAULT_POLICY, _corpus, _scan_column, _Tags  # here, so `codemix generate` loads neither
+    from .corpus_io import DEFAULT_POLICY, _scan_column, _Tags  # here, so `codemix generate` loads neither
     from .model import Corpus, Sentence
 
-    texts = _column_text(spec)
-    if spec.arrangement is Arrangement.RANDOM:
-        lines = itertools.chain.from_iterable(text.split("\n")[:-1] for text in texts)
-        return _corpus(_scan_column, lines, DEFAULT_POLICY, "synthetic")
     tags = _Tags(DEFAULT_POLICY)
-    sentences: dict[int, Sentence] = {}  # by the text's line count, its length plus one, so no text is kept
+    last: dict[int, tuple[str, Sentence]] = {}  # by len(text): the last text of that size and its Sentence
 
     def sentence(text: str) -> Sentence:
-        lines = text.count("\n")
-        if lines not in sentences:
+        seen = last.get(len(text))
+        if seen is None or seen[0] != text:  # str == tests identity first, so _column_text's repeats cost no compare
             ((surfaces, sentence_tags),) = _scan_column(text.split("\n")[:-1], tags, "synthetic")
-            sentences[lines] = Sentence._checked(surfaces, sentence_tags)
-        return sentences[lines]
+            seen = last[len(text)] = text, Sentence._checked(surfaces, sentence_tags)
+        return seen[1]
 
-    return Corpus(name="synthetic", sentences=map(sentence, texts))
+    return Corpus(name="synthetic", sentences=map(sentence, _column_text(spec)))

@@ -336,7 +336,7 @@ def test_custom_weights_agree_with_naive(codes, mix_weight, switch_weight):
     expected = naive_metrics(codes, mix_weight, switch_weight)
     assert metrics.cf2 == expected["cf2"]
     assert metrics.cf3 == expected["cf3"]
-    # stats._fold takes min and max in no fixed order, so no value may be NaN or -0.0.
+    # Every printed index is finite and never -0.0, which would print as -0.00 in CSV and the tables, and as -0.0 in JSON.
     assert all(math.isfinite(value) and math.copysign(1.0, value) == 1.0 for value in metrics)
 
 

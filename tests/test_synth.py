@@ -168,9 +168,27 @@ def test_column_text_matches_the_per_token_oracle(spec):
     assert text == naive_column_text(spec)
     corpus = generate(spec)
     assert repr(corpus) == repr(parse_column_format(text, name="synthetic"))
-    # ALTERNATING and BLOCKED build one text, and one Sentence, per length; RANDOM builds every sentence anew.
+    # ALTERNATING and BLOCKED build one text per length; RANDOM builds every text anew.
     distinct = len(texts) if spec.arrangement is Arrangement.RANDOM else len({t.count("\n") for t in texts})
-    assert len({id(t) for t in texts}) == len({id(s) for s in corpus.sentences}) == distinct
+    assert len({id(t) for t in texts}) == distinct
+    assert len({id(s) for s in corpus.sentences}) == scanned(texts)
+
+
+def scanned(texts):
+    """How many texts differ from the last text of their size: generate() builds a Sentence for each of these alone."""
+    last, count = {}, 0
+    for text in texts:
+        count += last.get(len(text)) != text
+        last[len(text)] = text
+    return count
+
+
+def test_generate_shares_a_sentence_among_equal_random_texts():
+    spec = GenSpec(200, 2, 2, Arrangement.RANDOM, 0.0, 3)  # four possible texts, all of one size
+    texts = list(_column_text(spec))
+    corpus = generate(spec)
+    assert corpus == parse_column_format("".join(texts), name="synthetic")
+    assert len({id(s) for s in corpus.sentences}) == scanned(texts) < len(texts)
 
 
 def test_generate_tells_apart_lengths_whose_texts_are_the_same_size():
@@ -186,6 +204,17 @@ def test_a_text_beyond_the_table_budget_is_built_again(monkeypatch):
     texts = list(_column_text(spec))
     assert "".join(texts) == naive_column_text(spec)
     assert len({id(t) for t in texts}) == len(texts) - texts[1:].count(texts[0])
+
+
+@pytest.mark.parametrize("arrangement", [Arrangement.BLOCKED, Arrangement.ALTERNATING], ids=lambda a: a.value)
+def test_generate_past_the_table_budget_builds_one_sentence_per_length(monkeypatch, arrangement):
+    spec = GenSpec(60, (2, 9), 2, arrangement, 0.3, 13)
+    monkeypatch.setattr(synth, "_TABLE_BUDGET", 30)
+    texts = list(_column_text(spec))
+    assert len({id(t) for t in texts}) > len(set(texts))  # equal texts built again
+    corpus = generate(spec)
+    assert corpus == parse_column_format("".join(texts), name="synthetic")
+    assert len({id(s) for s in corpus.sentences}) == len(set(texts)) == len({t.count("\n") for t in texts})
 
 
 class TestEnumerateSmall:
