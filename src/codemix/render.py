@@ -3,59 +3,75 @@
 Numbers are fixed-point with 2 decimals in CSV and in the human tables; JSON
 additionally carries full double precision under "raw" sub-objects. Key and
 column order is fixed, so identical inputs always serialize byte-identically.
-Only the two JSON renderers import json, so a command that prints no JSON loads none.
+Every per-sentence JSON row and CSV line is laid out from PER_SENTENCE_COLUMNS,
+and _rows formats each signature's row once. Only the two JSON renderers
+import json, so a command that prints no JSON loads none.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from .metrics import MetricConfig, SentenceCounts, SentenceMetrics
-from .stats import CorpusComparison, CorpusReport, _rows
+from .stats import _MEMO_SIZE, WORDS_PER_SENTENCE, CorpusComparison, CorpusReport
 
-# The per-sentence CSV contract: exactly these columns, in this order.
-# The last seven columns are the fields of SentenceMetrics, in its order.
+# The per-sentence contract: the CSV columns and the JSON row keys, in order. Every row,
+# the CSV header and the summary labels are laid out from it. The last seven are the
+# fields of SentenceMetrics, in its order.
 PER_SENTENCE_COLUMNS = ("index", "W", "u", "N", "S", "LF", "SF", "MF", "CMI", "CF1", "CF2", "CF3")
+_INDEX_COLUMNS = PER_SENTENCE_COLUMNS[5:]  # after the index and the four counts
 _CSV_HEADER = ",".join(PER_SENTENCE_COLUMNS) + "\n"
+_CSV_BODY = ",".join(["{}"] * 4 + ["{:.2f}"] * len(_INDEX_COLUMNS)) + "\n"  # a line after its index
 
 
 # One per-sentence JSON row, laid out as json.dumps(indent=2) lays it out inside
-# the report: index and counts, the seven indices rounded to 2 decimals, then
-# the same seven at full precision under "raw". The body, all but the head and
+# the report: index and counts, the indices rounded to 2 decimals, then the
+# same indices at full precision under "raw". The body, all but the head and
 # the index, is the same for every sentence with the same signature. str() of a
 # float is float.__repr__, which is what json prints for a finite float.
 _ROW_HEAD = """\
     {
       "index": """
-_ROW_BODY = """,
-      "W": {},
-      "u": {},
-      "N": {},
-      "S": {},
-      "LF": {},
-      "SF": {},
-      "MF": {},
-      "CMI": {},
-      "CF1": {},
-      "CF2": {},
-      "CF3": {},
-      "raw": {{
-        "LF": {},
-        "SF": {},
-        "MF": {},
-        "CMI": {},
-        "CF1": {},
-        "CF2": {},
-        "CF3": {}
-      }}
-    }}"""
+_ROW_BODY = (
+    "".join(f',\n      "{name}": {{}}' for name in PER_SENTENCE_COLUMNS[1:])
+    + ',\n      "raw": {{\n'
+    + ",\n".join(f'        "{name}": {{}}' for name in _INDEX_COLUMNS)
+    + "\n      }}\n    }}"
+)
+
+
+def _rows(
+    pairs: Iterable[tuple[SentenceCounts, SentenceMetrics]], body: Callable[[SentenceCounts, SentenceMetrics], str]
+) -> Iterator[tuple[int, str]]:
+    """(position, body(counts, metrics)) for each pair; a ValueError from body names the sentence.
+
+    body runs once per pair object: in the pairs of stats._fold and aggregate
+    every sentence of a signature shares one pair. Identity, not value: in a
+    report built by hand, equal values such as 0.0 and -0.0 are formatted
+    apart. The memo holds each pair it remembers, so no other pair can take
+    its id. At most _MEMO_SIZE pairs are remembered: past that many
+    signatures, _fold shares no new pairs.
+    """
+    memo: dict[int, tuple] = {}  # id(pair) -> (pair, row)
+    for index, pair in enumerate(pairs):
+        known = memo.get(id(pair))
+        if known is not None:
+            row = known[1]
+        else:
+            try:
+                row = body(*pair)
+            except ValueError as exc:
+                raise ValueError(f"sentence {index}: {exc}") from None
+            if len(memo) < _MEMO_SIZE:
+                memo[id(pair)] = pair, row
+        yield index, row
 
 
 def _json_body(counts: SentenceCounts, metrics: SentenceMetrics) -> str:
     """A sentence's "per_sentence" JSON row after its index."""
     if not math.isfinite(sum(metrics)):  # one test per row; finite values may sum to inf
-        for name, value in zip(PER_SENTENCE_COLUMNS[5:], metrics):
+        for name, value in zip(_INDEX_COLUMNS, metrics):
             if not math.isfinite(value):
                 raise ValueError(f"{name} is {value!r}, which JSON cannot hold")
     return _ROW_BODY.format(
@@ -126,14 +142,9 @@ def _report_json_pieces(report: CorpusReport, config: MetricConfig, per_sentence
 
 def _csv_body(counts: SentenceCounts, metrics: SentenceMetrics) -> str:
     """A sentence's per-sentence CSV line after its index and comma."""
-    cells = [
-        str(counts.total_tokens),
-        str(counts.undefined_tokens),
-        str(counts.language_count),
-        str(counts.switch_count),
-    ]
-    cells.extend(f"{value:.2f}" for value in metrics)
-    return ",".join(cells) + "\n"
+    return _CSV_BODY.format(
+        counts.total_tokens, counts.undefined_tokens, counts.language_count, counts.switch_count, *metrics
+    )
 
 
 def render_per_sentence_csv(report: CorpusReport) -> str:
@@ -190,13 +201,7 @@ def render_distribution_table(report: CorpusReport) -> str:
     return _format_table(header, rows)
 
 
-_SUMMARY_LABELS = {
-    "cmi": "CMI",
-    "cf1": "CF1",
-    "cf2": "CF2",
-    "cf3": "CF3",
-    "words_per_sentence": "Words/sentence",
-}
+_SUMMARY_LABELS = {**dict(zip(SentenceMetrics._fields, _INDEX_COLUMNS)), WORDS_PER_SENTENCE: "Words/sentence"}
 
 
 def render_summary_table(report: CorpusReport) -> str:

@@ -1,5 +1,6 @@
 """Corpus-level aggregation: per-language distributions, index summaries,
 corpus means (CMI-all / CMI-mixed), scatter data and corpus comparison.
+Its index names are fields of SentenceMetrics; render formats the rows.
 """
 
 from __future__ import annotations
@@ -7,7 +8,7 @@ from __future__ import annotations
 import math
 import re
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable
 
 from .metrics import (
     DEFAULT_CONFIG,
@@ -21,8 +22,8 @@ from .model import Corpus
 
 INDEPENDENT_LABEL = "Language Independent"
 
-# Indices that exist per sentence and can be plotted or compared.
-INDEX_NAMES = ("cmi", "cf1", "cf2", "cf3")
+# Indices that exist per sentence and can be plotted or compared, in SentenceMetrics' order.
+INDEX_NAMES = SentenceMetrics._fields[3:]
 WORDS_PER_SENTENCE = "words_per_sentence"
 SUMMARY_INDICES = INDEX_NAMES + (WORDS_PER_SENTENCE,)
 
@@ -157,7 +158,7 @@ def _fold(
             independent_sentences += count
         if metrics.cmi > 0:
             mixed += count
-        summary = metrics.cmi, metrics.cf1, metrics.cf2, metrics.cf3, float(counts.total_tokens)
+        summary = (*metrics[3:], float(counts.total_tokens))  # in SUMMARY_INDICES' order
         for column, value in enumerate(summary):
             if value < low[column]:
                 low[column] = value
@@ -221,33 +222,6 @@ def _fold(
         cmi_mixed=totals[0] / mixed if mixed else 0.0,  # CMI >= 0, so its zeros add nothing to the total
         per_sentence=pairs,  # a list, not a tuple: see the docstring
     )
-
-
-def _rows(
-    pairs: Iterable[tuple[SentenceCounts, SentenceMetrics]], body: Callable[[SentenceCounts, SentenceMetrics], str]
-) -> Iterator[tuple[int, str]]:
-    """(position, body(counts, metrics)) for each pair; a ValueError from body names the sentence.
-
-    body runs once per pair object: in the pairs of _fold and aggregate every
-    sentence of a signature shares one pair. Identity, not value: in a report
-    built by hand, equal values such as 0.0 and -0.0 are formatted apart. The
-    memo holds each pair it remembers, so no other pair can take its id. At
-    most _MEMO_SIZE pairs are remembered: past that many signatures, _fold
-    shares no new pairs.
-    """
-    memo: dict[int, tuple] = {}  # id(pair) -> (pair, row)
-    for index, pair in enumerate(pairs):
-        known = memo.get(id(pair))
-        if known is not None:
-            row = known[1]
-        else:
-            try:
-                row = body(*pair)
-            except ValueError as exc:
-                raise ValueError(f"sentence {index}: {exc}") from None
-            if len(memo) < _MEMO_SIZE:
-                memo[id(pair)] = pair, row
-        yield index, row
 
 
 def scatter_data(report: CorpusReport, index_name: str) -> list[tuple[int, float]]:

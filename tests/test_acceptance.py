@@ -272,3 +272,31 @@ def test_criterion_7_comparison_sanity():
                 failures.append(f"{index} not strictly higher for alternating corpus in spec {base}")
         pairs += 1
     _finish(f"criterion 7: alternating vs blocked comparison over {pairs} corpus pairs", failures)
+
+
+def test_criterion_8_paper_comparison_claims():
+    # The paper's argument, on corpora whose mixing is known by construction: CMI cannot tell
+    # alternating from blocked mixing and rates random mixing below both, while every CF ranks
+    # alternating above random above blocked. Each claim must hold at every seed.
+    failures: list[str] = []
+    specs = 0
+    for languages in (2, 3, 4):
+        for ratio in (0.0, 0.3):
+            for seed in range(1, 6):
+                means = {}
+                for arrangement in Arrangement:
+                    report = aggregate(generate(GenSpec(400, 12, languages, arrangement, ratio, seed)))
+                    means[arrangement] = {row.index_name: row.mean for row in report.summary}
+                alternating, random, blocked = (
+                    means[Arrangement.ALTERNATING], means[Arrangement.RANDOM], means[Arrangement.BLOCKED]
+                )
+                spec = f"{languages} languages, undefined ratio {ratio}, seed {seed}"
+                if alternating["cmi"] != blocked["cmi"]:
+                    failures.append(f"CMI alternating {alternating['cmi']} != blocked {blocked['cmi']} at {spec}")
+                if not random["cmi"] < min(alternating["cmi"], blocked["cmi"]):
+                    failures.append(f"CMI random {random['cmi']} not below alternating and blocked at {spec}")
+                for index in ("cf1", "cf2", "cf3"):
+                    if not alternating[index] > random[index] > blocked[index]:
+                        failures.append(f"{index} not alternating > random > blocked at {spec}")
+                specs += 1
+    _finish(f"criterion 8: the paper's CMI and CF claims across arrangements over {specs} specs", failures)

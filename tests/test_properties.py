@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+import string
 from statistics import fmean
 from unittest import mock
 
@@ -44,7 +45,10 @@ from codemix import cli, corpus_io
 from codemix.metrics import _arctan_divisor, _count_tags, _linear_divisor
 from codemix.stats import _MEMO_SIZE, INDEPENDENT_LABEL, INDEX_NAMES, CorpusComparison, IndexComparison, _fold
 from codemix.render import (
+    _CSV_BODY,
     _CSV_HEADER,
+    _ROW_BODY,
+    PER_SENTENCE_COLUMNS,
     _csv_body,
     _json_body,
     render_comparison_json,
@@ -552,6 +556,20 @@ def _csv_line(index: int, record: tuple[SentenceCounts, SentenceMetrics]) -> str
     counts, metrics = record
     ints = (index, counts.total_tokens, counts.undefined_tokens, counts.language_count, counts.switch_count)
     return ",".join([*map(str, ints), *(f"{value:.2f}" for value in metrics)]) + "\n"
+
+
+def test_per_sentence_layout_has_a_slot_for_every_metrics_field():
+    # str.format ignores extra positional arguments, so a SentenceMetrics field without a label
+    # would drop out of the JSON row and the CSV line with no failure anywhere else.
+    fields = len(SentenceMetrics._fields)
+    assert len(PER_SENTENCE_COLUMNS) == 5 + fields  # the index, W, u, N and S, then each index
+    assert INDEX_NAMES == SentenceMetrics._fields[3:]
+
+    def slots(template: str) -> int:
+        return sum(name is not None for _, name, _, _ in string.Formatter().parse(template))
+
+    assert slots(_ROW_BODY) == 4 + 2 * fields  # the counts, the rounded indices, then "raw"
+    assert slots(_CSV_BODY) == 4 + fields
 
 
 @pytest.mark.parametrize("values", [(0.0, -0.0), (1 / 3, 2 / 3)], ids=["signed-zeros", "unequal"])

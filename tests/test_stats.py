@@ -26,8 +26,8 @@ from codemix import (
     metrics_from_counts,
     scatter_data,
 )
-from codemix.render import _json_body
-from codemix.stats import _MEMO_SIZE, INDEPENDENT_LABEL, CorpusReport, _fold, _rows
+from codemix.render import _json_body, _rows
+from codemix.stats import _MEMO_SIZE, INDEPENDENT_LABEL, CorpusReport, _fold
 from conftest import make_corpus, make_sentence
 
 
@@ -175,7 +175,7 @@ def _distinct_counts(count: int, seed: int) -> list[SentenceCounts]:
 
 
 class TestSignatureMemo:
-    """stats._fold computes each signature's metrics once per run, and stats._rows formats its row once."""
+    """stats._fold computes each signature's metrics once per run, and render._rows formats its row once."""
 
     def test_more_signatures_than_the_memo_holds_match_unmemoised_metrics(self):
         rng = random.Random(3)
